@@ -391,7 +391,6 @@ def _add_serve(subparsers) -> None:
         help="skip the training-time ReferenceProfile and per-window "
         "PSI drift monitoring",
     )
-    _add_n_jobs_flag(parser)
     parser.add_argument("--checkpoint-dir",
                         help="checkpoint daemon state at every window boundary")
     parser.add_argument(
@@ -923,7 +922,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_alarms_per_window=args.max_alarms_per_window,
         stale_after=args.stale_after,
         gate=gate,
-        n_jobs=args.n_jobs,
     )
     if args.resume and args.checkpoint_dir and has_checkpoint_files(
         args.checkpoint_dir, SERVE_FILES

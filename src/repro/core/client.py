@@ -14,6 +14,11 @@ the caller can correct the reading and retry. With
 ``on_missing="impute"`` a reading with absent columns is scored anyway
 — last-known value, else zero — and flagged degraded (see
 :mod:`repro.robustness.degraded` for dimension-level fallback).
+
+:class:`IncrementalScorer` pairs the full model with the reduced
+fallback model over one shared per-drive state; the serve daemon and
+:class:`~repro.robustness.degraded.DegradedScorer` both score through
+it.
 """
 
 from __future__ import annotations
@@ -265,3 +270,106 @@ class ClientPredictor:
                 n_degraded=entry["n_degraded"],
             )
         self._states = states
+
+
+def _slot_index(columns: tuple[str, ...], subset, history_length: int) -> np.ndarray:
+    """Positions of ``subset`` within every history slot of a row laid
+    out as ``history_length`` consecutive blocks of ``columns``."""
+    offsets = np.array([columns.index(column) for column in subset], dtype=np.intp)
+    return np.concatenate(
+        [slot * len(columns) + offsets for slot in range(history_length)]
+    )
+
+
+class IncrementalScorer:
+    """A full and an optional reduced model over one per-drive state.
+
+    Both models read the same drive history, so it is kept once: an
+    impute-mode :class:`ClientPredictor` over the union of their columns
+    (the full model's, then any only the reduced model uses).
+    :meth:`stage` ingests a reading once and returns that union row;
+    :meth:`predict_full` and :meth:`predict_reduced` score column slices
+    of stacked rows, so the caller can pick either model per batch and
+    both always see every reading.
+
+    The shared row holds one firmware code per history slot, so the two
+    models must agree on ``history_length`` and on the firmware encoder's
+    classes; a mismatched pair raises ``ValueError``.
+    """
+
+    def __init__(self, full: MFPA, reduced: MFPA | None = None):
+        full._check_fitted()
+        full_columns = tuple(full.assembler_.columns)
+        history_length = full.assembler_.history_length
+        columns = full_columns
+        if reduced is not None:
+            reduced._check_fitted()
+            if reduced.assembler_.history_length != history_length:
+                raise ValueError(
+                    "full and reduced models need the same history_length, "
+                    f"got {history_length} and "
+                    f"{reduced.assembler_.history_length}"
+                )
+            if list(reduced.firmware_encoder_.classes_) != list(
+                full.firmware_encoder_.classes_
+            ):
+                raise ValueError(
+                    "full and reduced models need the same firmware encoder classes"
+                )
+            columns += tuple(
+                column
+                for column in reduced.assembler_.columns
+                if column not in full_columns
+            )
+        self.predictor = ClientPredictor(
+            model=full.model_,
+            columns=columns,
+            history_length=history_length,
+            firmware_encoder=full.firmware_encoder_,
+            threshold=full.config.decision_threshold,
+            on_missing="impute",
+        )
+        self.reduced_model = reduced.model_ if reduced is not None else None
+        self._full_index = _slot_index(columns, full_columns, history_length)
+        self._reduced_index = (
+            _slot_index(columns, reduced.assembler_.columns, history_length)
+            if reduced is not None
+            else None
+        )
+
+    @property
+    def has_reduced(self) -> bool:
+        return self.reduced_model is not None
+
+    def stage(self, serial: int, day: int, reading: dict) -> np.ndarray:
+        """Commit one reading; return its row for both models.
+
+        Raises whatever :meth:`ClientPredictor.ingest` raises (unseen
+        firmware label, for one) and, like it, leaves the state
+        untouched when it does.
+        """
+        return self.predictor.ingest(serial, day, reading)
+
+    def full_rows(self, X: np.ndarray) -> np.ndarray:
+        """The full model's columns of staged rows."""
+        return np.atleast_2d(X)[:, self._full_index]
+
+    def reduced_rows(self, X: np.ndarray) -> np.ndarray:
+        """The reduced model's columns of staged rows."""
+        if self._reduced_index is None:
+            raise RuntimeError("no reduced-feature fallback model was fitted")
+        return np.atleast_2d(X)[:, self._reduced_index]
+
+    def predict_full(self, X: np.ndarray) -> np.ndarray:
+        return self.predictor.predict_matrix(self.full_rows(X))
+
+    def predict_reduced(self, X: np.ndarray) -> np.ndarray:
+        rows = self.reduced_rows(X)  # raises first when there is no model
+        return self.reduced_model.predict_proba(rows)[:, 1]
+
+    # -- checkpointing --------------------------------------------------
+    def snapshot(self) -> dict:
+        return self.predictor.snapshot()
+
+    def restore(self, snapshot: dict) -> None:
+        self.predictor.restore(snapshot)

@@ -9,7 +9,8 @@ reduced groups (SF, S), so rather than refusing to score, we:
 * impute missing per-reading values (last-known, else zero) inside
   :class:`~repro.core.client.ClientPredictor` (``on_missing="impute"``),
 * optionally route readings missing an entire dimension to a pre-fitted
-  reduced-dimension model (:class:`DegradedScorer`), and
+  reduced-dimension model that shares the full model's per-drive state
+  (:class:`DegradedScorer`), and
 * let :class:`~repro.core.deployment.FleetMonitor` fall back to the
   largest feature group a dataset actually supports
   (:func:`adapt_for_missing_dimensions`).
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.client import ClientPredictor
+from repro.core.client import IncrementalScorer
 from repro.core.features import FEATURE_GROUPS, feature_group
 from repro.core.pipeline import MFPA, MFPAConfig
 from repro.telemetry.dataset import B_COLUMNS, TelemetryDataset, W_COLUMNS
@@ -137,32 +138,26 @@ class DegradedPrediction:
 class DegradedScorer:
     """Client-side scorer that survives missing feature dimensions.
 
-    Wraps a full-dimension :class:`ClientPredictor` (imputing mode) and,
-    optionally, a reduced-dimension one. A reading missing an entire
-    W/B/firmware dimension routes to the reduced model when available —
-    mirroring the paper's feature-group ablation — while partially
-    missing readings are imputed in place. Every prediction carries a
-    ``degraded`` flag.
+    A routing rule over :class:`~repro.core.client.IncrementalScorer`:
+    every reading updates the one per-drive state the full and reduced
+    models share. A reading missing an entire W/B/firmware dimension is
+    then scored by the reduced model when there is one — mirroring the
+    paper's feature-group ablation — while partially missing readings
+    are imputed in place and scored by the full model. Since both models
+    see every reading, either imputes from the drive's real last-known
+    values. Every prediction carries a ``degraded`` flag.
     """
 
-    def __init__(self, full: ClientPredictor, reduced: ClientPredictor | None = None):
-        self._full = full
-        self._reduced = reduced
+    def __init__(self, scorer: IncrementalScorer):
+        self._scorer = scorer
 
     @classmethod
     def from_models(cls, full: MFPA, reduced: MFPA | None = None) -> "DegradedScorer":
-        return cls(
-            full=ClientPredictor.from_model(full, on_missing="impute"),
-            reduced=(
-                ClientPredictor.from_model(reduced, on_missing="impute")
-                if reduced is not None
-                else None
-            ),
-        )
+        return cls(IncrementalScorer(full, reduced))
 
     @property
     def threshold(self) -> float:
-        return self._full.threshold
+        return self._scorer.predictor.threshold
 
     def _missing_dimensions(self, reading: dict) -> tuple[str, ...]:
         missing = []
@@ -173,19 +168,18 @@ class DegradedScorer:
 
     def observe(self, serial: int, day: int, reading: dict) -> DegradedPrediction:
         missing = self._missing_dimensions(reading)
+        row = self._scorer.stage(serial, day, reading)
         routable = set(missing) & {"W", "B", "firmware"}
-        if routable and "S" not in missing and self._reduced is not None:
-            probability = self._reduced.observe(serial, day, reading)
+        if routable and "S" not in missing and self._scorer.has_reduced:
             return DegradedPrediction(
-                probability=probability,
+                probability=float(self._scorer.predict_reduced(row)[0]),
                 degraded=True,
                 missing=missing,
                 used_reduced_model=True,
             )
-        probability = self._full.observe(serial, day, reading)
         return DegradedPrediction(
-            probability=probability,
-            degraded=bool(missing) or self._full.last_prediction_degraded,
+            probability=float(self._scorer.predict_full(row)[0]),
+            degraded=bool(missing) or self._scorer.predictor.last_prediction_degraded,
             missing=missing,
             used_reduced_model=False,
         )

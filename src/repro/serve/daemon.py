@@ -5,7 +5,7 @@ Data path (one reading)::
     submit() ──▶ BoundedReadingQueue          (backpressure, shedding)
     pump()   ──▶ ReadingGate.admit            (quarantine / repair)
              ──▶ DimensionFreshness.observe   (staleness watch)
-             ──▶ IncrementalScorer.stage      (ring-buffer feature state)
+             ──▶ IncrementalScorer.stage      (one per-drive state, both models)
              ──▶ window flush at each boundary:
                    score staged rows in batches under RetryPolicy,
                    route full ▸ reduced on stale dimensions or an OPEN
@@ -33,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.client import ClientPredictor
 from repro.core.pipeline import MFPA, MFPAConfig
 from repro.obs import (
     get_logger,
@@ -44,7 +43,6 @@ from repro.obs import (
     set_gauge,
     trace_span,
 )
-from repro.parallel import ParallelExecutor, SharedPayload, share
 from repro.scale.memory import update_peak_rss_gauge
 from repro.robustness.checkpoint import (
     CheckpointCorruptError,
@@ -65,20 +63,9 @@ __all__ = ["SERVE_FILES", "ServeConfig", "ServeDaemon"]
 
 _LOG = get_logger("repro.serve.daemon")
 
-SERVE_STATE_VERSION = 1
+SERVE_STATE_VERSION = 2
 #: The file pair a serve-daemon checkpoint consists of.
 SERVE_FILES = ("model.pkl", "state.json")
-
-
-def _predict_rows_task(
-    predictor: SharedPayload, X: np.ndarray
-) -> np.ndarray:
-    """Worker task: score one chunk of a staged batch.
-
-    ``predict_matrix`` only reads the fitted model (never the ring
-    buffers), so the fork-shared predictor needs no synchronization.
-    """
-    return predictor.get().predict_matrix(X)
 
 
 @dataclass(frozen=True)
@@ -103,16 +90,11 @@ class ServeConfig:
     cooldown_ticks: int = 2
     slow_tick_seconds: float = 5.0
     gate: GatePolicy = field(default_factory=GatePolicy)
-    n_jobs: int = 1
-    """Worker processes for batch scoring (1 = serial). The persistent
-    pool amortizes its fork across every window the daemon flushes, and
-    the calibrated fallback keeps small batches serial — results are
-    identical at every setting. Read via ``getattr`` with a default so
-    checkpoints written before this field existed still restore."""
     heartbeat_timeout_seconds: float = 60.0
     """`/health` readiness flips once the pump loop has been silent this
-    long (measured on the daemon clock). Read via ``getattr`` for
-    pre-field checkpoint compatibility, like ``n_jobs``."""
+    long (measured on the daemon clock). Read via ``getattr`` with a
+    default so checkpoints written before this field existed still
+    restore."""
     drift_event_budget_windows: int = 3
     """Minimum flushed windows between two severe-drift events (the
     drift monitor's alarm-fatigue rate budget). ``getattr``-read."""
@@ -162,11 +144,10 @@ class ServeDaemon:
         #: in every checkpoint so ``resume`` can refuse a state written
         #: by a different model.
         self.model_hash = model_hash
-        #: (serial, day, full_row, reduced_row, staged_at) — staged_at is
-        #: the daemon clock at staging, for ingest→alarm latency.
-        self._staged: list[
-            tuple[int, int, np.ndarray, np.ndarray | None, float]
-        ] = []
+        #: (serial, day, row, staged_at) — row feeds either model;
+        #: staged_at is the daemon clock at staging, for ingest→alarm
+        #: latency.
+        self._staged: list[tuple[int, int, np.ndarray, float]] = []
         self._e2e_latencies: list[float] = []
         self._clock = clock
         self._sleep = sleep
@@ -219,12 +200,7 @@ class ServeDaemon:
         **kwargs,
     ) -> "ServeDaemon":
         config = config or ServeConfig()
-        scorer = IncrementalScorer(
-            ClientPredictor.from_model(full, on_missing="impute"),
-            ClientPredictor.from_model(reduced, on_missing="impute")
-            if reduced is not None
-            else None,
-        )
+        scorer = IncrementalScorer(full, reduced)
         if drift is True:
             train_end = min(
                 config.serve_start_day,
@@ -292,7 +268,7 @@ class ServeDaemon:
                 f"or point --checkpoint-dir at a fresh directory"
             )
 
-        scorer = IncrementalScorer(payload["full"], payload["reduced"])
+        scorer = payload["scorer"]
         config = payload["config"]
         profile = payload.get("profile")
         drift = None
@@ -316,7 +292,7 @@ class ServeDaemon:
         # monotone from the crash point while current-truth gauges win.
         get_registry().merge(state.get("metrics") or [])
         set_gauge("serve_queue_depth", 0)
-        # Pickled predictor states are as-of-pickling; the JSON state is
+        # The pickled scorer's state is as-of-pickling; the JSON state is
         # the committed truth — restore from it.
         daemon.scorer.restore(state["scorer"])
         daemon.gate.restore(state["gate"])
@@ -392,9 +368,7 @@ class ServeDaemon:
             return
         self.freshness.observe(clean)
         try:
-            full_row, reduced_row = self.scorer.stage(
-                int(serial), numeric_day, clean
-            )
+            row = self.scorer.stage(int(serial), numeric_day, clean)
         except (ValueError, KeyError) as error:
             # e.g. a firmware string the training encoder never saw
             self.gate.note_quarantine(serial, "assembly_error")
@@ -404,9 +378,7 @@ class ServeDaemon:
             )
             return
         if numeric_day >= self.config.serve_start_day:
-            self._staged.append(
-                (int(serial), numeric_day, full_row, reduced_row, self._clock())
-            )
+            self._staged.append((int(serial), numeric_day, row, self._clock()))
 
     # ------------------------------------------------------------------
     # Window flush
@@ -414,38 +386,16 @@ class ServeDaemon:
     def _score_staged(self, degraded_route: bool) -> tuple[np.ndarray, bool]:
         """Batched probabilities for the staged rows; returns the
         probabilities plus the route actually used (a full-route failure
-        falls back to the reduced model mid-window).
-
-        With ``config.n_jobs > 1`` each batch's rows are chunked over
-        the persistent worker pool; the predictor travels by fork
-        inheritance and per-row independence keeps the concatenated
-        probabilities identical to the serial pass. Retries and the
-        circuit breaker wrap the whole parallel call, so failure
-        semantics are unchanged.
-        """
-        column = 3 if degraded_route and self.scorer.has_reduced else 2
+        falls back to the reduced model mid-window)."""
+        reduced = degraded_route and self.scorer.has_reduced
         predict = (
-            self.scorer.predict_reduced
-            if column == 3
-            else self.scorer.predict_full
+            self.scorer.predict_reduced if reduced else self.scorer.predict_full
         )
-        executor = ParallelExecutor(getattr(self.config, "n_jobs", 1))
-        if executor.is_parallel:
-            predictor = self.scorer.reduced if column == 3 else self.scorer.full
-
-            def predict(X, _predictor=predictor, _executor=executor):
-                chunks = np.array_split(X, _executor.n_jobs)
-                with share(_predictor, name="serve_predictor") as handle:
-                    parts = _executor.starmap(
-                        _predict_rows_task,
-                        [(handle, chunk) for chunk in chunks if len(chunk)],
-                    )
-                return np.concatenate(parts)
-        stage = "score_reduced" if column == 3 else "score_full"
+        stage = "score_reduced" if reduced else "score_full"
         probabilities: list[np.ndarray] = []
         for offset in range(0, len(self._staged), self.config.batch_size):
             batch = self._staged[offset : offset + self.config.batch_size]
-            X = np.stack([entry[column] for entry in batch])
+            X = np.stack([entry[2] for entry in batch])
             try:
                 chunk = retry_call(
                     lambda: predict(X),
@@ -457,7 +407,7 @@ class ServeDaemon:
                 )
             except Exception:
                 self.breaker.record_failure()
-                if column == 2 and self.scorer.has_reduced:
+                if not reduced and self.scorer.has_reduced:
                     _LOG.error(
                         "full-model scoring exhausted retries; "
                         "falling back to reduced model for this window"
@@ -468,8 +418,8 @@ class ServeDaemon:
             probabilities.append(np.asarray(chunk, dtype=float))
             inc_counter("serve_batches_scored_total")
         if probabilities:
-            return np.concatenate(probabilities), column == 3
-        return np.empty(0), column == 3
+            return np.concatenate(probabilities), reduced
+        return np.empty(0), reduced
 
     def _set_degraded(self, degraded: bool, reasons: tuple[str, ...]) -> None:
         if degraded and not self.degraded:
@@ -502,10 +452,10 @@ class ServeDaemon:
                 and self._staged
                 and len(probabilities) == len(self._staged)
             ):
-                # Current-day feature block of the *full* rows: the
-                # trailing columns (earlier blocks are history lags).
-                current = np.stack(
-                    [entry[2] for entry in self._staged]
+                # Current-day feature block of the full model's rows:
+                # the trailing columns (earlier blocks are history lags).
+                current = self.scorer.full_rows(
+                    np.stack([entry[2] for entry in self._staged])
                 )[:, -self.drift.n_columns:]
                 self.drift.observe_window(
                     current, probabilities, window_start=self.window_start
@@ -514,7 +464,7 @@ class ServeDaemon:
             self.alarms.open_window()
             window_alarms: list[dict] = []
             decided_at = self._clock()
-            for (serial, day, _full, _reduced, staged_at), probability in zip(
+            for (serial, day, _row, staged_at), probability in zip(
                 self._staged, probabilities
             ):
                 if self.alarms.decide(
@@ -563,8 +513,7 @@ class ServeDaemon:
             payload = {
                 "version": SERVE_STATE_VERSION,
                 "config": self.config,
-                "full": self.scorer.full,
-                "reduced": self.scorer.reduced,
+                "scorer": self.scorer,
                 "profile": self.drift.profile if self.drift else None,
             }
             atomic_write(path / "model.pkl", pickle.dumps(payload))

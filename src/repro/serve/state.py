@@ -1,13 +1,12 @@
 """Per-drive incremental feature state for the serve loop.
 
-:class:`IncrementalScorer` wraps two
-:class:`~repro.core.client.ClientPredictor` instances — the full-feature
-model and the PR-1 reduced-dimension (default SF) fallback — and feeds
-*every* admitted reading to both, so the daemon can switch routes at any
-window boundary without a state rebuild: both predictors' ring buffers
-and cumulative counters are always current. Staging a reading returns
-the assembled model-input rows; the daemon batches them and calls
-``predict_matrix`` once per batch instead of once per reading.
+:class:`IncrementalScorer` (defined in :mod:`repro.core.client`, which
+:mod:`repro.robustness.degraded` also builds on) keeps one per-drive
+streaming state for both the full-feature model and the reduced
+(default SF) fallback. Every admitted reading is ingested once, so the
+daemon can switch routes at any window boundary without a state
+rebuild. Staging a reading returns its assembled row; the daemon
+batches rows and scores each batch with one model call.
 
 :class:`DimensionFreshness` watches for a feature dimension (W, B,
 firmware) going *stale* — absent from ``stale_after`` consecutive
@@ -18,66 +17,10 @@ scoring circuit breaker).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.client import ClientPredictor
+from repro.core.client import IncrementalScorer
 from repro.robustness.faults import DIMENSION_COLUMNS
 
 __all__ = ["DimensionFreshness", "IncrementalScorer"]
-
-
-class IncrementalScorer:
-    """Dual-model streaming scorer with JSON-safe checkpoint state."""
-
-    def __init__(self, full: ClientPredictor, reduced: ClientPredictor | None):
-        self.full = full
-        self.reduced = reduced
-
-    @property
-    def has_reduced(self) -> bool:
-        return self.reduced is not None
-
-    def warm(self, serial: int, day: int, reading: dict) -> None:
-        """Commit a pre-horizon reading (state only, no scoring)."""
-        self.stage(serial, day, reading)
-
-    def stage(
-        self, serial: int, day: int, reading: dict
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Commit one reading into both models; return their input rows.
-
-        Raises whatever :meth:`ClientPredictor.ingest` raises (unseen
-        firmware label, for one) — the full model validates *before*
-        mutating, and the reduced model's inputs are a subset of the
-        full model's, so a raise leaves both predictors untouched.
-        """
-        full_row = self.full.ingest(serial, day, reading)
-        reduced_row = (
-            self.reduced.ingest(serial, day, reading)
-            if self.reduced is not None
-            else None
-        )
-        return full_row, reduced_row
-
-    def predict_full(self, X: np.ndarray) -> np.ndarray:
-        return self.full.predict_matrix(X)
-
-    def predict_reduced(self, X: np.ndarray) -> np.ndarray:
-        if self.reduced is None:
-            raise RuntimeError("no reduced-feature fallback model was fitted")
-        return self.reduced.predict_matrix(X)
-
-    # -- checkpointing --------------------------------------------------
-    def snapshot(self) -> dict:
-        return {
-            "full": self.full.snapshot(),
-            "reduced": self.reduced.snapshot() if self.reduced else None,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self.full.restore(snapshot["full"])
-        if self.reduced is not None and snapshot["reduced"] is not None:
-            self.reduced.restore(snapshot["reduced"])
 
 
 class DimensionFreshness:

@@ -14,6 +14,7 @@ from repro.robustness.degraded import (
     reduced_group_name,
 )
 from repro.robustness.faults import MissingDimension, inject
+from repro.telemetry import FleetConfig, VendorMix, simulate_fleet
 from repro.telemetry.dataset import B_COLUMNS, W_COLUMNS
 from repro.telemetry.smart import SMART_COLUMNS
 
@@ -171,3 +172,45 @@ class TestDegradedScorer:
         day, reading = _full_reading(fitted, serial, 0)
         alarmed, prediction = scorer.alarm(serial, day, reading)
         assert alarmed == (prediction.probability >= scorer.threshold)
+
+
+class TestDegradedScorerSharedState:
+    """Both models see every reading, whichever one scores it."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        fleet = simulate_fleet(
+            FleetConfig(mix=VendorMix({"I": 150}), horizon_days=300, seed=3)
+        )
+        full = MFPA(MFPAConfig())
+        full.fit(fleet, train_end_day=200)
+        return full, fit_reduced_model(fleet, 200, base_config=full.config)
+
+    def test_firmware_dropout_imputes_last_known_firmware(self, models):
+        """A firmware dropout on a drive's 16th reading routes to the
+        reduced model, which must impute the drive's last-known firmware
+        (as a reduced predictor fed every reading does), not code 0 from
+        a state that only saw the routed readings."""
+        full, reduced = models
+        checked, diverged = 0, []
+        for serial in map(int, full.dataset_.serials):
+            if len(full.dataset_.drive_rows(serial)["day"]) < 16:
+                continue
+            day, reading = _full_reading(full, serial, 15)
+            if full.firmware_encoder_.transform([reading["firmware"]])[0] == 0:
+                continue
+            scorer = DegradedScorer.from_models(full, reduced)
+            oracle = ClientPredictor.from_model(reduced, on_missing="impute")
+            for index in range(15):
+                day, reading = _full_reading(full, serial, index)
+                scorer.observe(serial, day, reading)
+                oracle.observe(serial, day, reading)
+            day, reading = _full_reading(full, serial, 15)
+            del reading["firmware"]
+            prediction = scorer.observe(serial, day, reading)
+            assert prediction.used_reduced_model
+            if prediction.probability != oracle.observe(serial, day, reading):
+                diverged.append(serial)
+            checked += 1
+        assert checked > 0
+        assert diverged == [], f"{len(diverged)} of {checked} drives diverged"

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from repro.obs import get_registry
-from repro.parallel import shutdown_pool
-from repro.parallel.calibration import set_serial_fallback_mode
 from repro.robustness.checkpoint import CheckpointCorruptError, write_manifest
 from repro.serve import SERVE_FILES, ServeConfig, ServeDaemon, replay_into
 from repro.serve.retry import RetryPolicy
@@ -68,32 +66,6 @@ class TestBatchParity:
         assert summary["n_windows"] == (END - SERVE_START) // WINDOW
         assert summary["degraded_windows"] == 0
         assert summary["watermark"] == END
-
-    def test_parallel_scoring_bit_identical_to_serial(
-        self, serve_models, serve_readings, monkeypatch
-    ):
-        """``ServeConfig.n_jobs`` must never change an alarm: the
-        parallel path chunks the same matrix through the same fitted
-        predictor."""
-        monkeypatch.setenv("REPRO_PARALLEL_OVERSUBSCRIBE", "1")
-        set_serial_fallback_mode("never")
-        full, reduced = serve_models
-        readings = _subset(serve_readings, 30)
-        try:
-            def run(n_jobs):
-                config = ServeConfig(
-                    serve_start_day=SERVE_START, window_days=WINDOW,
-                    end_day=END, n_jobs=n_jobs,
-                )
-                daemon = ServeDaemon.from_models(full, reduced, config)
-                summary = replay_into(daemon, readings, end_day=END)
-                return daemon.alarm_records(), summary["windows"]
-
-            serial = run(1)
-            assert run(2) == serial
-        finally:
-            set_serial_fallback_mode("auto")
-            shutdown_pool()
 
 
 class TestKillResume:
@@ -284,6 +256,21 @@ class TestCheckpointErrors:
         # is what trips
         write_manifest(path, SERVE_FILES)
         with pytest.raises(CheckpointCorruptError, match="JSON"):
+            ServeDaemon.resume(path)
+
+    def test_version_1_checkpoint_rejected(self, committed_checkpoint, tmp_path):
+        """Version 1 kept a separate state per model; its state.json
+        cannot restore the shared scorer, so resume refuses it."""
+        import json
+
+        path = self._copy(committed_checkpoint, tmp_path)
+        state = json.loads((path / "state.json").read_text())
+        state["version"] = 1
+        (path / "state.json").write_text(json.dumps(state))
+        write_manifest(path, SERVE_FILES)
+        with pytest.raises(
+            ValueError, match="unsupported serve checkpoint version 1"
+        ):
             ServeDaemon.resume(path)
 
     def test_unknown_version_rejected(self, committed_checkpoint, tmp_path):

@@ -1,19 +1,26 @@
 """Incremental scorer state and dimension-freshness staleness detector."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.client import ClientPredictor
+from repro.ml.encoding import LabelEncoder
 from repro.serve.state import DimensionFreshness, IncrementalScorer
+from repro.telemetry.dataset import B_COLUMNS, W_COLUMNS
+
+#: Reading keys a collector can lose as a whole dimension.
+DROPPABLE = {"W": W_COLUMNS, "B": B_COLUMNS, "firmware": ("firmware",)}
 
 
 @pytest.fixture()
 def scorer(serve_models):
     full, reduced = serve_models
-    return IncrementalScorer(
-        ClientPredictor.from_model(full, on_missing="impute"),
-        ClientPredictor.from_model(reduced, on_missing="impute"),
-    )
+    return IncrementalScorer(full, reduced)
 
 
 def _readings_for(serve_readings, serial, n):
@@ -30,10 +37,9 @@ class TestIncrementalScorer:
         serial = serve_readings[0][0]
         last_row, reference_probability = None, None
         for serial_, day, reading in _readings_for(serve_readings, serial, 10):
-            full_row, reduced_row = scorer.stage(serial_, day, reading)
+            last_row = scorer.stage(serial_, day, reading)
             reference_probability = reference.observe(serial_, day, reading)
-            assert reduced_row is not None
-            last_row = full_row
+        assert scorer.has_reduced
         probability = scorer.predict_full(last_row)[0]
         assert probability == pytest.approx(reference_probability, abs=1e-12)
 
@@ -42,7 +48,7 @@ class TestIncrementalScorer:
         rows = []
         for serial in serials:
             for serial_, day, reading in _readings_for(serve_readings, serial, 5):
-                row, _ = scorer.stage(serial_, day, reading)
+                row = scorer.stage(serial_, day, reading)
             rows.append(row)
         stacked = scorer.predict_full(np.vstack(rows))
         singles = [scorer.predict_full(row)[0] for row in rows]
@@ -52,26 +58,20 @@ class TestIncrementalScorer:
         self, scorer, serve_models, serve_readings
     ):
         """JSON round-trip of the snapshot reproduces identical scores."""
-        import json
-
         serial = serve_readings[0][0]
         for serial_, day, reading in _readings_for(serve_readings, serial, 8):
-            row, _ = scorer.stage(serial_, day, reading)
+            scorer.stage(serial_, day, reading)
         snapshot = json.loads(json.dumps(scorer.snapshot()))
 
-        full, reduced = serve_models
-        restored = IncrementalScorer(
-            ClientPredictor.from_model(full, on_missing="impute"),
-            ClientPredictor.from_model(reduced, on_missing="impute"),
-        )
+        restored = IncrementalScorer(*serve_models)
         restored.restore(snapshot)
         # continue both scorers with one more reading; rows must match bit-for-bit
         serial_, day, reading = _readings_for(serve_readings, serial, 9)[-1]
-        row_a, red_a = scorer.stage(serial_, day, reading)
-        row_b, red_b = restored.stage(serial_, day, reading)
+        row_a = scorer.stage(serial_, day, reading)
+        row_b = restored.stage(serial_, day, reading)
         np.testing.assert_array_equal(row_a, row_b)
-        np.testing.assert_array_equal(red_a, red_b)
         assert scorer.predict_full(row_a)[0] == restored.predict_full(row_b)[0]
+        assert scorer.predict_reduced(row_a)[0] == restored.predict_reduced(row_b)[0]
 
     def test_stage_failure_leaves_state_untouched(self, scorer, serve_readings):
         serial, day, reading = serve_readings[0]
@@ -83,15 +83,121 @@ class TestIncrementalScorer:
 
     def test_no_reduced_model(self, serve_models, serve_readings):
         full, _ = serve_models
-        scorer = IncrementalScorer(
-            ClientPredictor.from_model(full, on_missing="impute"), None
-        )
+        scorer = IncrementalScorer(full)
         assert not scorer.has_reduced
         serial, day, reading = serve_readings[0]
-        row, reduced_row = scorer.stage(serial, day, reading)
-        assert reduced_row is None
+        row = scorer.stage(serial, day, reading)
         with pytest.raises(RuntimeError, match="reduced"):
             scorer.predict_reduced(row)
+
+    def test_union_of_columns(self, serve_models):
+        """Full columns first, then the reduced model's extras."""
+        full, reduced = serve_models
+        assert IncrementalScorer(full, reduced).predictor._columns == tuple(
+            full.assembler_.columns
+        )
+        swapped = IncrementalScorer(reduced, full).predictor._columns
+        assert swapped[: len(reduced.assembler_.columns)] == tuple(
+            reduced.assembler_.columns
+        )
+        assert set(swapped) == set(full.assembler_.columns)
+
+    def test_mismatched_firmware_encoders_rejected(self, serve_models):
+        full, reduced = serve_models
+        other = copy.copy(reduced)
+        other.firmware_encoder_ = LabelEncoder().fit(["FW-A", "FW-B"])
+        with pytest.raises(ValueError, match="firmware encoder"):
+            IncrementalScorer(full, other)
+
+    def test_mismatched_history_length_rejected(self, serve_models):
+        full, reduced = serve_models
+        other = copy.copy(reduced)
+        other.assembler_ = copy.copy(reduced.assembler_)
+        other.assembler_.history_length = reduced.assembler_.history_length + 1
+        with pytest.raises(ValueError, match="history_length"):
+            IncrementalScorer(full, other)
+
+
+@st.composite
+def _streams(draw, serve_readings):
+    """Per-drive reading sequences with strictly increasing days, whole
+    W/B/firmware dimensions dropped on random days, drives interleaved."""
+    serials = sorted({r[0] for r in serve_readings})
+    picked = draw(st.lists(st.sampled_from(serials), min_size=1, max_size=3, unique=True))
+    queues = []
+    for serial in picked:
+        source = [r[2] for r in serve_readings if r[0] == serial]
+        n = draw(st.integers(1, min(12, len(source))))
+        gaps = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        day = draw(st.integers(0, 200))
+        queue = []
+        for reading, gap in zip(source, gaps):
+            day += gap
+            dropped = draw(st.sets(st.sampled_from(sorted(DROPPABLE))))
+            columns = {c for name in dropped for c in DROPPABLE[name]}
+            queue.append(
+                (serial, day, {k: v for k, v in reading.items() if k not in columns})
+            )
+        queues.append(queue)
+    order = draw(
+        st.permutations([i for i, queue in enumerate(queues) for _ in queue])
+    )
+    stream = []
+    for i in order:
+        stream.append(queues[i].pop(0))
+    return stream
+
+
+def _oracle_rows(models, stream):
+    """Two independent impute-mode predictors, each fed every reading."""
+    predictors = [ClientPredictor.from_model(m, on_missing="impute") for m in models]
+    rows = [[p.ingest(*reading) for reading in stream] for p in predictors]
+    return predictors, [np.vstack(r) for r in rows]
+
+
+class TestSharedStateProperties:
+    @pytest.mark.parametrize("swap", [False, True], ids=["full-reduced", "swapped"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_two_independent_predictors(
+        self, serve_models, serve_readings, swap, data
+    ):
+        """Property 1: the shared scorer's rows and probabilities for
+        both models equal those of two predictors each fed every
+        reading. ``swap`` puts the larger model in the reduced slot, so
+        the union of columns differs from the full model's."""
+        models = serve_models[::-1] if swap else serve_models
+        stream = data.draw(_streams(serve_readings))
+        scorer = IncrementalScorer(*models)
+        X = np.vstack([scorer.stage(*reading) for reading in stream])
+        (full, reduced), (full_X, reduced_X) = _oracle_rows(models, stream)
+        np.testing.assert_array_equal(scorer.full_rows(X), full_X)
+        np.testing.assert_array_equal(scorer.reduced_rows(X), reduced_X)
+        np.testing.assert_array_equal(
+            scorer.predict_full(X), full.predict_matrix(full_X)
+        )
+        np.testing.assert_array_equal(
+            scorer.predict_reduced(X), reduced.predict_matrix(reduced_X)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_snapshot_restore_at_any_offset(self, serve_models, serve_readings, data):
+        """Property 2: snapshot → JSON → restore at an arbitrary offset
+        continues exactly like an uninterrupted run."""
+        stream = data.draw(_streams(serve_readings))
+        offset = data.draw(st.integers(0, len(stream)))
+        uninterrupted = IncrementalScorer(*serve_models)
+        expected = [uninterrupted.stage(*reading) for reading in stream]
+
+        before = IncrementalScorer(*serve_models)
+        for reading in stream[:offset]:
+            before.stage(*reading)
+        after = IncrementalScorer(*serve_models)
+        after.restore(json.loads(json.dumps(before.snapshot())))
+        for reading, row in zip(stream[offset:], expected[offset:]):
+            np.testing.assert_array_equal(after.stage(*reading), row)
+        assert after.snapshot() == uninterrupted.snapshot()
 
 
 class TestDimensionFreshness:

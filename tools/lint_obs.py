@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Lint: no stray ``print()``; no silent excepts in serve/; no
-``http.server`` outside ``src/repro/obs/``; no raw file writes in ml/.
+``http.server`` outside ``src/repro/obs/``; no raw file writes in ml/;
+no ``repro.parallel`` in serve/.
 
-Four AST checks over ``src/repro`` (``make lint-obs``):
+Five AST checks over ``src/repro`` (``make lint-obs``):
 
 * library output must flow through ``repro.obs.get_logger`` so it
   carries a level and respects ``--log-level`` / ``--log-json`` — any
@@ -23,7 +24,10 @@ Four AST checks over ``src/repro`` (``make lint-obs``):
   ``open(..., "w")`` / ``write_text`` / ``write_bytes`` would either
   fail that verification or, worse, be manifested before it is
   durable, so every write there must go through
-  ``repro.robustness.checkpoint.atomic_write`` (fsync + rename).
+  ``repro.robustness.checkpoint.atomic_write`` (fsync + rename);
+* the serve daemon scores in one process: per-window batches are far
+  too small to pay for a worker pool, so no module under
+  ``src/repro/serve/`` may import ``repro.parallel``.
 
 AST-based on purpose: docstrings contain ``print()`` usage examples and
 prose about ``except`` clauses that a grep would false-positive on.
@@ -53,6 +57,10 @@ HTTP_SERVER_DIR = Path("obs")
 #: Directory (relative to src/repro) where file writes must route
 #: through ``repro.robustness.checkpoint.atomic_write``.
 ATOMIC_WRITE_DIR = Path("ml")
+
+#: Directory (relative to src/repro) that must not import
+#: ``repro.parallel``.
+SERIAL_DIR = Path("serve")
 
 
 def find_prints(tree: ast.AST) -> list[tuple[int, str]]:
@@ -127,6 +135,28 @@ def find_http_server_imports(tree: ast.AST) -> list[tuple[int, str]]:
     return offenders
 
 
+def find_parallel_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """``repro.parallel`` reached any way: ``import repro.parallel``,
+    ``from repro.parallel[.x] import ...``, or ``from repro import
+    parallel``."""
+    offenders: list[tuple[int, str]] = []
+    message = "repro.parallel import in src/repro/serve/ — serve scores serially"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(
+            name == "repro.parallel" or name.startswith("repro.parallel.")
+            for name in names
+        ):
+            offenders.append((node.lineno, message))
+    return offenders
+
+
 def find_raw_writes(tree: ast.AST) -> list[tuple[int, str]]:
     """Write-mode ``open()`` and ``Path.write_text``/``write_bytes``.
 
@@ -185,6 +215,8 @@ def main() -> int:
             findings.extend(find_http_server_imports(tree))
         if ATOMIC_WRITE_DIR in relative.parents:
             findings.extend(find_raw_writes(tree))
+        if SERIAL_DIR in relative.parents:
+            findings.extend(find_parallel_imports(tree))
         for lineno, message in sorted(findings):
             offenders.append(f"src/repro/{relative}:{lineno}: {message}")
     if offenders:
@@ -195,7 +227,8 @@ def main() -> int:
         "lint-obs: no stray print() calls in src/repro; "
         "no silent excepts in src/repro/serve or src/repro/scale; "
         "no http.server imports outside src/repro/obs; "
-        "no raw file writes in src/repro/ml (atomic_write only)"
+        "no raw file writes in src/repro/ml (atomic_write only); "
+        "no repro.parallel imports in src/repro/serve"
     )
     return 0
 
