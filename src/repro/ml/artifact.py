@@ -12,13 +12,15 @@ integrity-checked form::
       manifest.json    # schema version, kind, params, provenance,
                        # per-file sha256+size — written LAST
 
-``manifest.json`` is the commit record, exactly like the monitor
-checkpoint (:mod:`repro.robustness.checkpoint`) and the PR-7 shard
-manifest: every payload file is written first via
-:func:`~repro.robustness.checkpoint.atomic_write`, then the manifest
-stamps their hashes.  A crash mid-save leaves files the manifest does
-not vouch for; :func:`load_model` reports that as a typed
-:class:`ArtifactCorruptError` instead of unpickling garbage.
+``manifest.json`` is the commit record, written by the same
+:mod:`repro.commit` protocol as checkpoints and shard stores: every
+payload file is written durably first (``model.npz`` streamed through
+:func:`~repro.commit.atomic_writer`, never buffered whole), then
+:func:`~repro.commit.write_manifest` stamps their hashes.  A crash
+mid-save leaves files the manifest does not vouch for;
+:func:`load_model` reports that as a typed :class:`ArtifactCorruptError`
+(via :func:`~repro.commit.verify_manifest`) instead of unpickling
+garbage.  A directory with no manifest is not an artifact.
 
 Tree-family models (``DecisionTree*``, ``RandomForest*``,
 ``GradientBoostingClassifier``) are stored natively: per-tree node
@@ -39,7 +41,6 @@ by a different model.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import pickle
 import time
@@ -47,16 +48,26 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.commit import (
+    MANIFEST_FILE,
+    CommitError,
+    atomic_write,
+    atomic_writer,
+    load_committed,
+    read_manifest,
+    verify_manifest,
+    write_manifest,
+)
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.gbdt import GradientBoostingClassifier
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _Tree
 from repro.obs import inc_counter
 from repro.obs.manifest import config_hash, dataset_fingerprint
-from repro.robustness.checkpoint import _sha256_file, atomic_write
 
 __all__ = [
     "ArtifactCorruptError",
     "ArtifactMismatchError",
+    "MANIFEST_FILE",
     "SCHEMA_VERSION",
     "artifact_hash",
     "inspect_artifact",
@@ -65,7 +76,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-MANIFEST_FILE = "manifest.json"
 _NPZ_FILE = "model.npz"
 _PKL_FILE = "model.pkl"
 _PIPELINE_FILE = "pipeline.pkl"
@@ -85,7 +95,7 @@ _TREE_KINDS = {
 _KIND_OF = {cls: kind for kind, cls in _TREE_KINDS.items()}
 
 
-class ArtifactCorruptError(RuntimeError):
+class ArtifactCorruptError(CommitError):
     """An artifact file is missing, truncated, altered, or from an
     unsupported schema version."""
 
@@ -238,9 +248,8 @@ def _save_tree_family(model, kind: str, path: Path) -> dict:
         packed["member_seeds"] = _member_seeds(model)
     packed.update(_collect_state(model, kind))
     packed.update(_bin_edges_arrays(getattr(model, "bin_edges_", None)))
-    buffer = io.BytesIO()
-    np.savez(buffer, **packed)
-    atomic_write(path / _NPZ_FILE, buffer.getvalue())
+    with atomic_writer(path / _NPZ_FILE) as handle:
+        np.savez(handle, **packed)
     return {"format": "npz", "files": [_NPZ_FILE]}
 
 
@@ -376,32 +385,24 @@ def save_model(model, directory: str | Path, *, dataset=None,
             json.dumps(reference_profile.to_json(), sort_keys=True).encode(),
         )
         meta["files"] = [*meta["files"], _PROFILE_FILE]
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": meta["kind"],
-        "format": meta["format"],
-        "class": class_name,
-        "params": _jsonable_params(params),
-        "config_hash": hashed,
-        "dataset_fingerprint": (
+    extra = {"class": class_name}  # "class" is a Python keyword
+    if "model_artifact_hash" in meta:
+        extra["model_artifact_hash"] = meta["model_artifact_hash"]
+    # Manifest last — the commit record vouching for every payload file.
+    write_manifest(
+        path,
+        meta["files"],
+        schema_version=SCHEMA_VERSION,
+        kind=meta["kind"],
+        format=meta["format"],
+        params=_jsonable_params(params),
+        config_hash=hashed,
+        dataset_fingerprint=(
             dataset_fingerprint(dataset) if dataset is not None else None
         ),
-        "bin_edges": _bin_edge_summary(model),
-        "created_unix": round(time.time(), 3),
-        "files": {
-            name: {
-                "sha256": _sha256_file(path / name),
-                "size": (path / name).stat().st_size,
-            }
-            for name in meta["files"]
-        },
-    }
-    if "model_artifact_hash" in meta:
-        manifest["model_artifact_hash"] = meta["model_artifact_hash"]
-    # Manifest last — the commit record vouching for every payload file.
-    atomic_write(
-        path / MANIFEST_FILE,
-        json.dumps(manifest, indent=2, sort_keys=True).encode(),
+        bin_edges=_bin_edge_summary(model),
+        created_unix=round(time.time(), 3),
+        **extra,
     )
     inc_counter("model_artifacts_saved_total")
     return path
@@ -438,18 +439,7 @@ def _save_mfpa(pipeline, path: Path) -> dict:
     }
 
 
-def _read_manifest(path: Path) -> dict:
-    manifest_path = path / MANIFEST_FILE
-    if not manifest_path.exists():
-        raise FileNotFoundError(
-            f"{path} is not a model artifact (no {MANIFEST_FILE})"
-        )
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as error:
-        raise ArtifactCorruptError(
-            f"artifact manifest {manifest_path} is not valid JSON: {error}"
-        ) from error
+def _check_schema(path: Path, manifest: dict) -> dict:
     version = manifest.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ArtifactCorruptError(
@@ -457,23 +447,6 @@ def _read_manifest(path: Path) -> dict:
             f"this build reads version {SCHEMA_VERSION}"
         )
     return manifest
-
-
-def _verify_files(path: Path, manifest: dict) -> None:
-    for name, entry in manifest.get("files", {}).items():
-        target = path / name
-        if not target.exists():
-            raise ArtifactCorruptError(f"artifact file {target} is missing")
-        size = target.stat().st_size
-        if size != entry["size"]:
-            raise ArtifactCorruptError(
-                f"artifact file {target} is truncated or overgrown: "
-                f"{size} bytes on disk, {entry['size']} in manifest"
-            )
-        if _sha256_file(target) != entry["sha256"]:
-            raise ArtifactCorruptError(
-                f"artifact file {target} fails its sha256 content check"
-            )
 
 
 def load_model(directory: str | Path):
@@ -488,21 +461,15 @@ def load_model(directory: str | Path):
     saved in.
     """
     path = Path(directory)
-    manifest = _read_manifest(path)
-    _verify_files(path, manifest)
+    manifest = _check_schema(
+        path, verify_manifest(path, error=ArtifactCorruptError)
+    )
     kind = manifest.get("kind")
     if kind in _TREE_KINDS:
         params = dict(manifest.get("params", {}))
         model = _load_tree_family(kind, params, path)
     elif kind == "pickle":
-        try:
-            with open(path / _PKL_FILE, "rb") as handle:
-                model = pickle.load(handle)
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                IndexError, ValueError) as error:
-            raise ArtifactCorruptError(
-                f"artifact payload {path / _PKL_FILE} is undecodable: {error}"
-            ) from error
+        model = load_committed(path / _PKL_FILE, ArtifactCorruptError)
     elif kind == "mfpa":
         model = _load_mfpa(path)
     else:
@@ -516,15 +483,7 @@ def load_model(directory: str | Path):
 def _load_mfpa(path: Path):
     from repro.core.pipeline import MFPA
 
-    try:
-        with open(path / _PIPELINE_FILE, "rb") as handle:
-            state = pickle.load(handle)
-    except (pickle.UnpicklingError, EOFError, AttributeError,
-            IndexError, ValueError) as error:
-        raise ArtifactCorruptError(
-            f"artifact payload {path / _PIPELINE_FILE} is undecodable: "
-            f"{error}"
-        ) from error
+    state = load_committed(path / _PIPELINE_FILE, ArtifactCorruptError)
     pipeline = MFPA.__new__(MFPA)
     pipeline.__dict__.update(state)
     pipeline.model_ = load_model(path / _MODEL_SUBDIR)
@@ -538,16 +497,16 @@ def load_reference_profile(directory: str | Path):
     path = Path(directory) / _PROFILE_FILE
     if not path.exists():
         return None
-    return ReferenceProfile.from_json(json.loads(path.read_text()))
+    return ReferenceProfile.from_json(load_committed(path, ArtifactCorruptError))
 
 
 def inspect_artifact(directory: str | Path) -> dict:
     """The artifact's manifest plus an integrity verdict (no model
     construction)."""
     path = Path(directory)
-    manifest = _read_manifest(path)
+    manifest = _check_schema(path, read_manifest(path, ArtifactCorruptError))
     try:
-        _verify_files(path, manifest)
+        verify_manifest(path, error=ArtifactCorruptError)
         manifest["verified"] = True
     except ArtifactCorruptError as error:
         manifest["verified"] = False
@@ -565,12 +524,7 @@ def artifact_hash(directory: str | Path) -> str:
     loudly (:class:`ArtifactMismatchError`) instead of silently mixing
     score histories.
     """
-    manifest_path = Path(directory) / MANIFEST_FILE
-    if not manifest_path.exists():
-        raise FileNotFoundError(
-            f"{directory} is not a model artifact (no {MANIFEST_FILE})"
-        )
     payload = json.dumps(
-        json.loads(manifest_path.read_text()), sort_keys=True
+        read_manifest(directory, ArtifactCorruptError), sort_keys=True
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -31,6 +31,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.commit import atomic_write
+
 __all__ = [
     "MANIFEST_VERSION",
     "RunContext",
@@ -176,14 +178,14 @@ class RunContext:
 
     def finalize(self, tracer, registry, status: str = "ok") -> Path:
         """Write ``<run_dir>/manifest.json`` (plus the Prometheus text
-        snapshot) atomically and return the manifest path."""
+        snapshot) atomically and durably; return the manifest path."""
         manifest = self.build(tracer, registry, status=status)
         self.run_dir.mkdir(parents=True, exist_ok=True)
         path = self.run_dir / "manifest.json"
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        (self.run_dir / "metrics.prom").write_text(registry.to_prometheus())
+        atomic_write(
+            path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+        )
+        atomic_write(self.run_dir / "metrics.prom", registry.to_prometheus().encode())
         return path
 
 

@@ -20,19 +20,20 @@ through a short retry loop instead of a lock on the hot write path.
 
 For scrape-less deployments :class:`TextfileExporter` periodically
 writes the same exposition text to a node_exporter textfile, atomically
-(tmp + ``os.replace``) so the collector never reads a torn file.
+(:func:`repro.commit.atomic_write`) so the collector never reads a torn
+file.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from repro.commit import atomic_write
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -296,11 +297,11 @@ class TextfileExporter:
     """Periodic atomic ``.prom`` writer for scrape-less deployments.
 
     Writes the registry's exposition text to ``path`` every
-    ``interval`` seconds from a daemon thread, via tmp +
-    :func:`os.replace` so a node_exporter textfile collector never
-    observes a torn file. :meth:`write_once` is also usable standalone
-    (and is called a final time on :meth:`stop`, so the file reflects
-    shutdown-instant truth).
+    ``interval`` seconds from a daemon thread, via
+    :func:`repro.commit.atomic_write` so a node_exporter textfile
+    collector never observes a torn file. :meth:`write_once` is also
+    usable standalone (and is called a final time on :meth:`stop`, so
+    the file reflects shutdown-instant truth).
     """
 
     def __init__(
@@ -319,10 +320,7 @@ class TextfileExporter:
 
     def write_once(self) -> Path:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        text = _render_prometheus(self.registry)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, self.path)
+        atomic_write(self.path, _render_prometheus(self.registry).encode())
         self.registry.counter("obs_textfile_writes_total").inc()
         return self.path
 

@@ -13,33 +13,20 @@ run as if it had never stopped:
   deterministic but strictly slower; pickling guarantees bit-identical
   probabilities either way.
 
-Durability contract:
-
-* every file write is atomic (temp file + ``os.replace``) **and**
-  durable — the temp file is fsynced before the rename and the
-  directory after it, so a committed checkpoint survives power loss,
-  not just process crash;
-* ``manifest.json``, written last, records the sha256 and size of every
-  checkpoint file — it is the commit record. A checkpoint whose files
-  do not match their manifest (truncated ``model.pkl``, crash while
-  overwriting) fails :func:`verify_manifest` with a typed
-  :class:`CheckpointCorruptError` instead of an opaque ``pickle.load``
-  traceback;
-* a *half pair* (one of ``state.json``/``model.pkl`` present without
-  the other — a crash between the two writes) is reported by
-  :func:`has_checkpoint` as "no usable checkpoint" and its stray files
-  are cleaned up so the caller restarts from scratch.
-
-The same primitives (:func:`atomic_write`, :func:`write_manifest`,
-:func:`verify_manifest`, :func:`has_checkpoint_files`) back the serve
-daemon's checkpoints in :mod:`repro.serve.daemon`.
+Both files, then ``manifest.json`` as the commit record, are written
+durably by :mod:`repro.commit`, whose primitives this module re-exports.
+Files that fail their manifest (truncated ``model.pkl``, a crash while
+overwriting) raise :class:`CheckpointCorruptError`, not a ``pickle``
+traceback. A directory that is not committed — no manifest, or only
+some of the files — is "no usable checkpoint" to :func:`has_checkpoint`,
+which removes the leftovers so the caller restarts from scratch.
+:func:`commit_checkpoint` and :func:`has_checkpoint_files` back the
+serve daemon's and the sharded monitor's checkpoints too.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import pickle
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -47,158 +34,53 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.deployment import FleetMonitor, MonitoringWindow
 
+from repro.commit import (
+    MANIFEST_FILE,
+    CommitError,
+    atomic_write,
+    load_committed,
+    verify_manifest,
+    write_manifest,
+)
 from repro.telemetry.dataset import TelemetryDataset
 
 CHECKPOINT_VERSION = 1
+#: The ``version`` field every checkpoint manifest carries.
 MANIFEST_VERSION = 1
 _STATE_FILE = "state.json"
 _MODEL_FILE = "model.pkl"
-_MANIFEST_FILE = "manifest.json"
 #: The file pair a FleetMonitor checkpoint consists of.
 MONITOR_FILES = (_MODEL_FILE, _STATE_FILE)
 
 
-class CheckpointCorruptError(RuntimeError):
+class CheckpointCorruptError(CommitError):
     """A checkpoint file is missing, truncated, or fails its sha256."""
 
 
-def _fsync_path(path: Path) -> None:
-    """fsync a file or directory; best-effort on filesystems that
-    refuse directory fsync (the rename itself is still atomic)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic fs
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - exotic fs
-        pass
-    finally:
-        os.close(fd)
-
-
-def atomic_write(path: str | Path, data: bytes) -> None:
-    """Atomic *and durable* write: fsync the temp file before
-    ``os.replace`` and the directory after, so the committed bytes
-    survive power loss, not just process crash."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_path(path.parent)
-
-
-# Backwards-compatible private alias (pre-manifest callers).
-_atomic_write = atomic_write
-
-
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def write_manifest(directory: str | Path, filenames: Iterable[str]) -> Path:
-    """Write the sha256 content manifest — the checkpoint commit record.
-
-    Must be called *after* every listed file is in place; a checkpoint
-    without a matching manifest is treated as legacy (pre-manifest) by
-    :func:`verify_manifest` and as uncommitted by the serve daemon.
-    """
-    path = Path(directory)
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "files": {
-            name: {
-                "sha256": _sha256_file(path / name),
-                "size": (path / name).stat().st_size,
-            }
-            for name in filenames
-        },
-    }
-    target = path / _MANIFEST_FILE
-    atomic_write(target, json.dumps(manifest, sort_keys=True).encode())
-    return target
-
-
-def verify_manifest(
-    directory: str | Path, filenames: Iterable[str] | None = None
-) -> bool:
-    """Check every checkpoint file against its manifest entry.
-
-    Returns ``True`` when verified, ``False`` for a legacy checkpoint
-    with no manifest at all. Raises :class:`CheckpointCorruptError` on
-    an unreadable manifest, a missing file, a size mismatch
-    (truncation) or a content-hash mismatch.
-    """
-    path = Path(directory)
-    manifest_path = path / _MANIFEST_FILE
-    if not manifest_path.exists():
-        return False
-    try:
-        manifest = json.loads(manifest_path.read_text())
-        files = dict(manifest["files"])
-    except (ValueError, KeyError, TypeError) as error:
-        raise CheckpointCorruptError(
-            f"unreadable checkpoint manifest {manifest_path}: {error}"
-        ) from error
-    names = tuple(filenames) if filenames is not None else tuple(sorted(files))
-    for name in names:
-        entry = files.get(name)
-        if entry is None:
-            raise CheckpointCorruptError(
-                f"checkpoint file {name!r} has no manifest entry in {path}"
-            )
-        target = path / name
-        if not target.exists():
-            raise CheckpointCorruptError(f"checkpoint file {target} is missing")
-        size = target.stat().st_size
-        if size != entry["size"]:
-            raise CheckpointCorruptError(
-                f"checkpoint file {target} is truncated or overgrown: "
-                f"{size} bytes on disk, {entry['size']} in manifest"
-            )
-        if _sha256_file(target) != entry["sha256"]:
-            raise CheckpointCorruptError(
-                f"checkpoint file {target} fails its sha256 content check"
-            )
-    return True
-
-
-def discard_partial_checkpoint(
+def commit_checkpoint(
     directory: str | Path, filenames: Iterable[str] = MONITOR_FILES
-) -> None:
-    """Remove the leftovers of a half-written checkpoint."""
-    path = Path(directory)
-    for name in (*filenames, _MANIFEST_FILE):
-        try:
-            (path / name).unlink()
-        except FileNotFoundError:
-            pass
+) -> Path:
+    """Write the checkpoint's commit record; call it after every file."""
+    return write_manifest(directory, filenames, version=MANIFEST_VERSION)
 
 
 def has_checkpoint_files(
     directory: str | Path, filenames: Iterable[str] = MONITOR_FILES
 ) -> bool:
-    """Whether ``directory`` holds a *usable* (complete) checkpoint.
+    """Whether ``directory`` holds a *committed* checkpoint: every one
+    of ``filenames`` plus the manifest.
 
-    A half pair — some but not all of ``filenames`` present, the
-    signature of a crash between the per-file atomic writes — can never
-    be restored, so it is cleaned up here and reported as "no usable
-    checkpoint" rather than left to crash the loader.
+    Anything less (a crash before the first commit, or between file
+    writes) can never be restored verified, so its leftovers are
+    removed and it reports "no usable checkpoint".
     """
     path = Path(directory)
-    names = tuple(filenames)
+    names = (*filenames, MANIFEST_FILE)
     present = [name for name in names if (path / name).exists()]
     if len(present) == len(names):
         return True
-    if present or (path / _MANIFEST_FILE).exists():
-        discard_partial_checkpoint(path, names)
+    for name in present:
+        (path / name).unlink()
     return False
 
 
@@ -253,7 +135,7 @@ def save_checkpoint(
     # they now exist on disk. A crash before this line leaves files the
     # manifest (old or absent) does not vouch for, which load_checkpoint
     # reports as CheckpointCorruptError instead of loading garbage.
-    write_manifest(path, MONITOR_FILES)
+    commit_checkpoint(path, MONITOR_FILES)
     return path
 
 
@@ -271,25 +153,12 @@ def load_checkpoint(
     path = Path(directory)
     if not has_checkpoint(path):
         raise FileNotFoundError(f"{path} does not contain a monitor checkpoint")
-    verify_manifest(path, MONITOR_FILES)
-
-    try:
-        state = json.loads((path / _STATE_FILE).read_text())
-    except ValueError as error:
-        raise CheckpointCorruptError(
-            f"checkpoint state {path / _STATE_FILE} is not valid JSON: {error}"
-        ) from error
+    verify_manifest(path, MONITOR_FILES, error=CheckpointCorruptError)
+    state = load_committed(path / _STATE_FILE, CheckpointCorruptError)
     version = state.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    try:
-        with open(path / _MODEL_FILE, "rb") as handle:
-            payload = pickle.load(handle)
-    except (pickle.UnpicklingError, EOFError, AttributeError, IndexError) as error:
-        raise CheckpointCorruptError(
-            f"checkpoint model {path / _MODEL_FILE} is undecodable "
-            f"(truncated write?): {error}"
-        ) from error
+    payload = load_committed(path / _MODEL_FILE, CheckpointCorruptError)
 
     monitor = FleetMonitor(
         config=payload["config"],

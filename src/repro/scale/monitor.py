@@ -55,10 +55,12 @@ from repro.scale.memory import MemoryCeiling
 from repro.scale.store import ShardedDataset
 from repro.scale.trainer import fit_sharded, prepare_shard
 from repro.robustness.checkpoint import (
+    CheckpointCorruptError,
     atomic_write,
+    commit_checkpoint,
     has_checkpoint_files,
+    load_committed,
     verify_manifest,
-    write_manifest,
 )
 from repro.telemetry.dataset import DriveMeta
 
@@ -290,36 +292,31 @@ class ShardedFleetMonitor:
             directory / "progress.pkl",
             pickle.dumps({"per_shard": per_shard, "grading": grading}),
         )
-        write_manifest(directory, SHARD_MONITOR_FILES)
+        commit_checkpoint(directory, SHARD_MONITOR_FILES)
 
     def _load_resume(self, directory: Path, params: dict) -> tuple | None:
         """Restore (models, plan, per_shard, grading) or None if there
         is no usable checkpoint. A checkpoint for a different store or
         run shape is an error, not a silent restart."""
+        from repro.ml.artifact import load_model
+
         if not has_checkpoint_files(directory, SHARD_MONITOR_FILES):
             return None
-        verify_manifest(directory, SHARD_MONITOR_FILES)
-        with open(directory / "monitor.pkl", "rb") as handle:
-            meta = pickle.load(handle)
+        verify_manifest(directory, SHARD_MONITOR_FILES, error=CheckpointCorruptError)
+        meta = load_committed(directory / "monitor.pkl", CheckpointCorruptError)
         if meta["params"] != params:
             raise ValueError(
                 "sharded-monitor checkpoint does not match this run: "
                 f"checkpointed {json.dumps(meta['params'], sort_keys=True, default=str)} "
                 f"vs requested {json.dumps(params, sort_keys=True, default=str)}"
             )
-        with open(directory / "progress.pkl", "rb") as handle:
-            progress = pickle.load(handle)
-        if "model_dirs" in meta:
-            from repro.ml.artifact import load_model
-
-            loaded: dict[str, MFPA] = {}
-            models = []
-            for name in meta["model_dirs"]:
-                if name not in loaded:
-                    loaded[name] = load_model(directory / name)
-                models.append(loaded[name])
-        else:  # pre-artifact checkpoint with in-line pickled models
-            models = meta["models"]
+        progress = load_committed(directory / "progress.pkl", CheckpointCorruptError)
+        loaded: dict[str, MFPA] = {}
+        models = []
+        for name in meta["model_dirs"]:
+            if name not in loaded:
+                loaded[name] = load_model(directory / name)
+            models.append(loaded[name])
         return (
             models, meta["plan"],
             progress["per_shard"], progress["grading"],

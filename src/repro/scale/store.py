@@ -9,6 +9,11 @@ fingerprints. Nothing in the layout requires the fleet to fit in RAM —
 writes stream shard-by-shard through :class:`ShardWriter`, reads stream
 through :meth:`ShardedDataset.iter_shards`.
 
+Commits follow :mod:`repro.commit`: every shard is streamed to disk
+durably (fsync + rename) as it is added, and the manifest — the commit
+record — is written last, so it never vouches for a shard that power
+loss could still take back.
+
 Layout::
 
     <root>/
@@ -34,9 +39,17 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.commit import (
+    MANIFEST_FILE,
+    CommitError,
+    atomic_write,
+    atomic_writer,
+    check_file,
+    read_manifest,
+    sha256_file,
+)
 from repro.obs import inc_counter, observe_histogram, trace_span
 from repro.obs.manifest import dataset_fingerprint
-from repro.robustness.checkpoint import atomic_write
 from repro.telemetry.dataset import DriveMeta, TelemetryDataset
 from repro.telemetry.tickets import TroubleTicket
 
@@ -50,7 +63,7 @@ __all__ = [
     "write_dataset_sharded",
 ]
 
-MANIFEST_NAME = "manifest.json"
+MANIFEST_NAME = MANIFEST_FILE
 _FORMAT_VERSION = 1
 
 #: Columns serialized as vocabulary codes rather than object arrays.
@@ -60,7 +73,7 @@ _CODED_COLUMNS = ("firmware", "vendor", "model")
 _NO_FAILURE = -1
 
 
-class ShardManifestError(RuntimeError):
+class ShardManifestError(CommitError):
     """The shard store is missing, corrupt, or fails verification."""
 
 
@@ -91,14 +104,6 @@ class ShardInfo:
     @classmethod
     def from_dict(cls, record: dict) -> "ShardInfo":
         return cls(**{name: record[name] for name in cls.__slots__})
-
-
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 class _Vocab:
@@ -256,7 +261,7 @@ class ShardWriter:
         with trace_span("scale.write_shard"):
             started = time.perf_counter()
             save = np.savez_compressed if self.compress else np.savez
-            with open(path, "wb") as handle:
+            with atomic_writer(path) as handle:
                 save(handle, **arrays)
             observe_histogram(
                 "scale_shard_write_seconds", time.perf_counter() - started
@@ -269,7 +274,7 @@ class ShardWriter:
             first_serial=int(serials[0]),
             last_serial=int(serials[-1]),
             n_bytes=path.stat().st_size,
-            sha256=_sha256_file(path),
+            sha256=sha256_file(path),
             fingerprint=dataset_fingerprint(dataset),
         )
         self._shards.append(info)
@@ -319,12 +324,7 @@ class ShardedDataset:
         manifest_path = self.root / MANIFEST_NAME
         if not manifest_path.is_file():
             raise ShardManifestError(f"no shard manifest at {manifest_path}")
-        try:
-            self.manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as error:
-            raise ShardManifestError(
-                f"corrupt shard manifest at {manifest_path}: {error}"
-            ) from error
+        self.manifest = read_manifest(self.root, ShardManifestError)
         version = self.manifest.get("format_version")
         if version != _FORMAT_VERSION:
             raise ShardManifestError(
@@ -358,20 +358,15 @@ class ShardedDataset:
     def load_shard(self, index: int, verify: bool = False) -> TelemetryDataset:
         """Load one shard back into an in-RAM :class:`TelemetryDataset`.
 
-        ``verify=True`` re-hashes the file against the manifest sha256
-        before deserializing (reads the shard twice).
+        ``verify=True`` checks the file's size and sha256 against the
+        manifest before deserializing (reads the shard twice).
         """
         info = self.shards[index]
         path = self.root / info.filename
-        if not path.is_file():
-            raise ShardManifestError(f"manifest lists missing shard {path}")
         if verify:
-            actual = _sha256_file(path)
-            if actual != info.sha256:
-                raise ShardManifestError(
-                    f"shard {info.filename} sha256 mismatch: "
-                    f"manifest {info.sha256[:12]}…, file {actual[:12]}…"
-                )
+            check_file(path, info.n_bytes, info.sha256, ShardManifestError)
+        elif not path.is_file():
+            raise ShardManifestError(f"manifest lists missing shard {path}")
         with trace_span("scale.read_shard"):
             with np.load(path, allow_pickle=False) as archive:
                 arrays = {name: archive[name] for name in archive.files}

@@ -27,11 +27,17 @@ import json
 from pathlib import Path
 
 from repro.obs import get_logger, inc_counter
-from repro.robustness.checkpoint import atomic_write
+from repro.commit import append_durable, atomic_write
 
 __all__ = ["AlarmStream"]
 
 _LOG = get_logger("repro.serve.alarms")
+
+
+def _jsonl(records: list[dict]) -> bytes:
+    return "".join(
+        json.dumps(record, sort_keys=True) + "\n" for record in records
+    ).encode()
 
 
 class AlarmStream:
@@ -102,9 +108,7 @@ class AlarmStream:
         pending, self._pending = self._pending, []
         if self.sink_path is not None and pending:
             self.sink_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.sink_path, "a") as handle:
-                for record in pending:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
+            append_durable(self.sink_path, _jsonl(pending))
         for _ in pending:
             inc_counter("serve_alarms_emitted_total")
         return len(pending)
@@ -114,10 +118,7 @@ class AlarmStream:
         if self.sink_path is None:
             return
         self.sink_path.parent.mkdir(parents=True, exist_ok=True)
-        payload = "".join(
-            json.dumps(record, sort_keys=True) + "\n" for record in self.ledger
-        )
-        atomic_write(self.sink_path, payload.encode())
+        atomic_write(self.sink_path, _jsonl(self.ledger))
 
     # -- checkpointing --------------------------------------------------
     def snapshot(self) -> dict:

@@ -47,9 +47,10 @@ from repro.scale.memory import update_peak_rss_gauge
 from repro.robustness.checkpoint import (
     CheckpointCorruptError,
     atomic_write,
+    commit_checkpoint,
     has_checkpoint_files,
+    load_committed,
     verify_manifest,
-    write_manifest,
 )
 from repro.robustness.degraded import fit_reduced_model
 from repro.serve.alarms import AlarmStream
@@ -239,21 +240,9 @@ class ServeDaemon:
         path = Path(checkpoint_dir)
         if not has_checkpoint_files(path, SERVE_FILES):
             raise FileNotFoundError(f"{path} does not contain a serve checkpoint")
-        verify_manifest(path, SERVE_FILES)
-        try:
-            with open(path / "model.pkl", "rb") as handle:
-                payload = pickle.load(handle)
-        except (pickle.UnpicklingError, EOFError, AttributeError, IndexError) as err:
-            raise CheckpointCorruptError(
-                f"serve checkpoint model {path / 'model.pkl'} is undecodable: {err}"
-            ) from err
-        try:
-            state = json.loads((path / "state.json").read_text())
-        except ValueError as err:
-            raise CheckpointCorruptError(
-                f"serve checkpoint state {path / 'state.json'} "
-                f"is not valid JSON: {err}"
-            ) from err
+        verify_manifest(path, SERVE_FILES, error=CheckpointCorruptError)
+        payload = load_committed(path / "model.pkl", CheckpointCorruptError)
+        state = load_committed(path / "state.json", CheckpointCorruptError)
         version = state.get("version")
         if version != SERVE_STATE_VERSION:
             raise ValueError(f"unsupported serve checkpoint version {version!r}")
@@ -536,7 +525,7 @@ class ServeDaemon:
             "metrics": get_registry().dump(),
         }
         atomic_write(path / "state.json", json.dumps(state).encode())
-        write_manifest(path, SERVE_FILES)
+        commit_checkpoint(path, SERVE_FILES)
         inc_counter("serve_checkpoints_total")
         self._last_checkpoint = self._clock()
 

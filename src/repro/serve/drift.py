@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.commit import atomic_write
 from repro.core.drift import psi_against_reference, reference_bins
 from repro.obs import get_logger, inc_counter, set_gauge
 
@@ -230,9 +231,8 @@ class ReferenceProfile:
     def save(self, path: str | Path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.to_json(), sort_keys=True) + "\n")
-        tmp.replace(path)
+        payload = json.dumps(self.to_json(), sort_keys=True) + "\n"
+        atomic_write(path, payload.encode())
         return path
 
     @classmethod

@@ -8,6 +8,8 @@ resimulate. The format is a directory with:
 * ``strings.json`` — the object-dtype columns (firmware/vendor/model),
 * ``drives.json``  — the per-drive metadata table,
 * ``tickets.json`` — the RaSRF trouble tickets.
+
+Each file is written atomically and durably (:mod:`repro.commit`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.commit import atomic_write, atomic_writer
 from repro.telemetry.dataset import DriveMeta, TelemetryDataset
 from repro.telemetry.tickets import TroubleTicket
 
@@ -34,14 +37,16 @@ def save_dataset(dataset: TelemetryDataset, directory: str | Path) -> Path:
         for name, values in dataset.columns.items()
         if name not in _STRING_COLUMNS
     }
-    np.savez_compressed(path / "columns.npz", **numeric)
+    with atomic_writer(path / "columns.npz") as handle:
+        np.savez_compressed(handle, **numeric)
 
     strings = {
         name: dataset.columns[name].tolist()
         for name in _STRING_COLUMNS
         if name in dataset.columns
     }
-    (path / "strings.json").write_text(json.dumps({"version": FORMAT_VERSION, **strings}))
+    strings = {"version": FORMAT_VERSION, **strings}
+    atomic_write(path / "strings.json", json.dumps(strings).encode())
 
     drives = [
         {
@@ -55,7 +60,7 @@ def save_dataset(dataset: TelemetryDataset, directory: str | Path) -> Path:
         }
         for meta in dataset.drives.values()
     ]
-    (path / "drives.json").write_text(json.dumps(drives))
+    atomic_write(path / "drives.json", json.dumps(drives).encode())
 
     tickets = [
         {
@@ -67,7 +72,7 @@ def save_dataset(dataset: TelemetryDataset, directory: str | Path) -> Path:
         }
         for ticket in dataset.tickets
     ]
-    (path / "tickets.json").write_text(json.dumps(tickets))
+    atomic_write(path / "tickets.json", json.dumps(tickets).encode())
     return path
 
 

@@ -207,9 +207,14 @@ class TestCheckpointIntegrity:
         with pytest.raises(CheckpointCorruptError, match="manifest"):
             load_checkpoint(checkpoint, fleet)
 
-    def test_legacy_checkpoint_without_manifest_still_loads(
+    def test_checkpoint_without_manifest_is_not_resumed(
         self, checkpoint, fleet
     ):
-        """Pre-manifest checkpoints (no manifest.json) load unverified."""
+        """Files with no manifest were never committed (a crash before
+        the first commit): no usable checkpoint, leftovers swept."""
         (checkpoint / "manifest.json").unlink()
-        load_checkpoint(checkpoint, fleet)
+        assert not has_checkpoint(checkpoint)
+        assert not (checkpoint / "model.pkl").exists()
+        assert not (checkpoint / "state.json").exists()
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(checkpoint, fleet)

@@ -20,7 +20,7 @@ from repro.core.deployment import RetrainPolicy
 from repro.obs import get_registry
 from repro.parallel import shutdown_pool
 from repro.parallel.calibration import set_serial_fallback_mode
-from repro.robustness.checkpoint import CheckpointCorruptError
+from repro.robustness.checkpoint import CheckpointCorruptError, commit_checkpoint
 from repro.scale import ShardedFleetMonitor
 from repro.scale.monitor import SHARD_MONITOR_FILES
 
@@ -146,6 +146,23 @@ def test_resume_rejects_corrupt_checkpoint(shard_store, tmp_path):
     )
     (checkpoint / "progress.pkl").write_bytes(b"garbage")
     with pytest.raises(CheckpointCorruptError):
+        _monitor(shard_store).run(
+            START, END, window_days=WINDOW,
+            checkpoint_dir=checkpoint, resume=True,
+        )
+
+
+def test_resume_rejects_undecodable_committed_progress(shard_store, tmp_path):
+    """Bytes the manifest vouches for but pickle cannot decode (a buggy
+    writer, not a torn write) still surface as the typed error."""
+    checkpoint = tmp_path / "ckpt"
+    _monitor(shard_store).run(
+        START, END, window_days=WINDOW,
+        checkpoint_dir=checkpoint, max_shards=1,
+    )
+    (checkpoint / "progress.pkl").write_bytes(b"garbage")
+    commit_checkpoint(checkpoint, SHARD_MONITOR_FILES)
+    with pytest.raises(CheckpointCorruptError, match="pickle"):
         _monitor(shard_store).run(
             START, END, window_days=WINDOW,
             checkpoint_dir=checkpoint, resume=True,

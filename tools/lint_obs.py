@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Lint: no stray ``print()``; no silent excepts in serve/; no
-``http.server`` outside ``src/repro/obs/``; no raw file writes in ml/;
-no ``repro.parallel`` in serve/.
+``http.server`` outside ``src/repro/obs/``; no raw file writes, renames
+or fsyncs outside ``repro.commit``; no ``repro.parallel`` in serve/.
 
 Five AST checks over ``src/repro`` (``make lint-obs``):
 
@@ -19,12 +19,17 @@ Five AST checks over ``src/repro`` (``make lint-obs``):
   socket lifecycles and bypasses the endpoint's scrape counters, dump
   retries and access-log routing, so it is rejected outside
   ``src/repro/obs/``;
-* model artifacts (``src/repro/ml/``) are verified by per-file sha256
-  in a manifest written last — a partial file from a crashed raw
+* every persisted directory (checkpoints, model artifacts, shard
+  stores, run manifests, datasets) commits through one protocol in
+  ``src/repro/commit.py`` — a partial file from a crashed raw
   ``open(..., "w")`` / ``write_text`` / ``write_bytes`` would either
-  fail that verification or, worse, be manifested before it is
-  durable, so every write there must go through
-  ``repro.robustness.checkpoint.atomic_write`` (fsync + rename);
+  fail manifest verification or, worse, be manifested before it is
+  durable, so every write in ``src/repro`` must go through
+  ``repro.commit`` (``atomic_write``/``atomic_writer``: fsync + rename),
+  and ``os.replace``/``os.fsync`` appear nowhere else. The only
+  exceptions are the two deliberately streaming JSONL writers a
+  consumer may tail while they grow: ``serve/replay.write_stream`` and
+  the paced ``repro replay --speed`` loop (``cli._cmd_replay``);
 * the serve daemon scores in one process: per-window batches are far
   too small to pay for a worker pool, so no module under
   ``src/repro/serve/`` may import ``repro.parallel``.
@@ -54,9 +59,16 @@ STRICT_EXCEPT_DIRS = frozenset({Path("serve"), Path("scale")})
 #: ``http.server``.
 HTTP_SERVER_DIR = Path("obs")
 
-#: Directory (relative to src/repro) where file writes must route
-#: through ``repro.robustness.checkpoint.atomic_write``.
-ATOMIC_WRITE_DIR = Path("ml")
+#: The commit module: the only file allowed raw writes, renames and
+#: fsyncs.
+COMMIT_MODULE = Path("commit.py")
+
+#: Functions (file relative to src/repro → names) that stream JSONL on
+#: purpose and may open files for writing.
+STREAMING_WRITERS = {
+    Path("serve/replay.py"): frozenset({"write_stream"}),
+    Path("cli.py"): frozenset({"_cmd_replay"}),
+}
 
 #: Directory (relative to src/repro) that must not import
 #: ``repro.parallel``.
@@ -161,15 +173,26 @@ def find_raw_writes(tree: ast.AST) -> list[tuple[int, str]]:
     """Write-mode ``open()`` and ``Path.write_text``/``write_bytes``.
 
     ``open()`` with a non-literal mode is flagged too: if the mode can
-    vary at runtime, the call can write, and artifact bytes must only
-    reach disk through ``atomic_write``.
+    vary at runtime, the call can write, and committed bytes must only
+    reach disk through ``repro.commit``. So are ``os.replace`` and
+    ``os.fsync``: a hand-rolled rename or fsync is a second commit
+    protocol.
     """
     offenders: list[tuple[int, str]] = []
-    route = "route artifact writes through robustness.checkpoint.atomic_write"
+    route = "route writes through repro.commit.atomic_write"
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        if isinstance(node.func, ast.Attribute) and node.func.attr in (
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("replace", "fsync")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "os"
+        ):
+            offenders.append(
+                (node.lineno, f"os.{node.func.attr}() outside repro.commit")
+            )
+        elif isinstance(node.func, ast.Attribute) and node.func.attr in (
             "write_text",
             "write_bytes",
         ):
@@ -201,6 +224,24 @@ def find_raw_writes(tree: ast.AST) -> list[tuple[int, str]]:
     return offenders
 
 
+def _outside(
+    findings: list[tuple[int, str]], tree: ast.AST, functions
+) -> list[tuple[int, str]]:
+    """Drop findings inside the named top-level functions."""
+    if not functions:
+        return findings
+    spans = [
+        (node.lineno, node.end_lineno)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in functions
+    ]
+    return [
+        (lineno, message)
+        for lineno, message in findings
+        if not any(start <= lineno <= end for start, end in spans)
+    ]
+
+
 def main() -> int:
     offenders: list[str] = []
     for path in sorted(SRC.rglob("*.py")):
@@ -213,8 +254,10 @@ def main() -> int:
             findings.extend(find_silent_excepts(tree))
         if HTTP_SERVER_DIR not in relative.parents:
             findings.extend(find_http_server_imports(tree))
-        if ATOMIC_WRITE_DIR in relative.parents:
-            findings.extend(find_raw_writes(tree))
+        if relative != COMMIT_MODULE:
+            findings.extend(
+                _outside(find_raw_writes(tree), tree, STREAMING_WRITERS.get(relative))
+            )
         if SERIAL_DIR in relative.parents:
             findings.extend(find_parallel_imports(tree))
         for lineno, message in sorted(findings):
@@ -227,7 +270,8 @@ def main() -> int:
         "lint-obs: no stray print() calls in src/repro; "
         "no silent excepts in src/repro/serve or src/repro/scale; "
         "no http.server imports outside src/repro/obs; "
-        "no raw file writes in src/repro/ml (atomic_write only); "
+        "no raw file writes, os.replace or os.fsync outside src/repro/commit.py "
+        "(bar the two streaming JSONL writers); "
         "no repro.parallel imports in src/repro/serve"
     )
     return 0
