@@ -7,7 +7,10 @@ EXPERIMENTS.md evidence can be refreshed by re-running the suite.
 
 from __future__ import annotations
 
+import statistics
+import time
 from pathlib import Path
+from typing import Any, Callable
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -32,6 +35,43 @@ def never_slower(
     gate in ``tests/parallel/test_bench_gate.py`` (tiny size).
     """
     return parallel_seconds <= serial_seconds * ratio + slack_seconds
+
+
+def paired_timings(
+    configs: dict[str, Callable[[], Any]], *, rounds: int = 3, warmup: int = 1
+) -> dict[str, dict[str, Any]]:
+    """Time every configuration under one protocol.
+
+    ``warmup`` untimed calls of each configuration first, then
+    ``rounds`` paired rounds that each run every configuration once;
+    the order rotates per round so no configuration always runs first
+    (or always right after the slowest one). Returns, per name, the
+    ``median`` and the ``q1``/``q3`` quartiles in seconds, the raw
+    ``seconds`` and the last call's ``result`` (for equality checks).
+    Every never-slower gate compares medians from this helper.
+    """
+    if rounds < 3:
+        raise ValueError("paired_timings needs at least 3 rounds")
+    names = list(configs)
+    for _ in range(warmup):
+        for name in names:
+            configs[name]()
+    seconds: dict[str, list[float]] = {name: [] for name in names}
+    results: dict[str, Any] = {}
+    for round_index in range(rounds):
+        shift = round_index % len(names)
+        for name in names[shift:] + names[:shift]:
+            started = time.perf_counter()
+            results[name] = configs[name]()
+            seconds[name].append(time.perf_counter() - started)
+    timings = {}
+    for name in names:
+        q1, median, q3 = statistics.quantiles(seconds[name], n=4, method="inclusive")
+        timings[name] = {
+            "median": median, "q1": q1, "q3": q3,
+            "seconds": seconds[name], "result": results[name],
+        }
+    return timings
 
 
 def cores_label(count: int | None) -> str:

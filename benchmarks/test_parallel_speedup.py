@@ -1,31 +1,31 @@
-"""Serial-vs-parallel wall-clock for the hot paths (``make bench-parallel``).
+"""Serial-vs-parallel wall-clock for the fan-out paths (``make bench-parallel``).
 
-Times forest fitting, grid search and fleet scoring serially and at
-``n_jobs`` ∈ {2, 4}, verifies the outputs are identical either way, and
-records machine-readable JSON under
-``benchmarks/results/parallel_speedup.json`` so speedups are tracked
-alongside the paper exhibits.
+Times forest fitting, grid search and the sharded monitor's shard
+fan-out serially and at ``n_jobs`` ∈ {2, 4}, verifies the outputs are
+identical either way, and records machine-readable JSON under
+``benchmarks/results/parallel_speedup.json``. Every configuration is
+timed with :func:`benchmarks._util.paired_timings` (warm-up, then
+``ROUNDS`` paired rounds with rotating order, then the median and
+quartiles), so the verdict does not hinge on one noisy run.
 
 Two classes of assertion:
 
-* **Never slower** (every host, every ``n_jobs``): with the persistent
-  pool and the calibrated serial fallback, a parallel run may cost at
-  most ``NEVER_SLOWER_RATIO``× the serial run plus a small absolute
-  slack. On a single-core host this proves the fallback: ``n_jobs``
-  clamps to the core count and the run degrades to the serial loop
-  instead of paying fork overhead for nothing.
+* **Never slower** (every host, every ``n_jobs``): a parallel median
+  may cost at most ``NEVER_SLOWER_RATIO``× the serial median plus a
+  small absolute slack. On a single-core host ``n_jobs`` clamps to the
+  core count and every run is serial.
 * **Actually faster** (hosts with ≥ 4 cores only): forest fit or grid
-  search must reach ≥ 2× at ``n_jobs=4``, and fleet scoring must at
-  least break even. On smaller runners the numbers are still recorded,
-  but a fork pool cannot beat the clock there — a property of the
-  host, not the code.
+  search must reach ≥ 2× at ``n_jobs=4``, and the sharded monitor must
+  at least break even. On smaller runners the numbers are still
+  recorded, but a fork pool cannot beat the clock there — a property of
+  the host, not the code.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
+import tempfile
 
 import numpy as np
 import pytest
@@ -36,28 +36,29 @@ from benchmarks._util import (
     RESULTS_DIR,
     cores_label,
     never_slower,
+    paired_timings,
     save_exhibit,
 )
-from repro.core.deployment import FleetMonitor
+from repro.core.deployment import RetrainPolicy
+from repro.core.pipeline import MFPA
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.model_selection import GridSearchCV, KFold
 from repro.ml.tree import DecisionTreeClassifier
-from repro.parallel import effective_n_jobs, fork_available, shutdown_pool
+from repro.parallel import effective_n_jobs, fork_available
 from repro.reporting import render_table
+from repro.scale import ShardedFleetMonitor, write_dataset_sharded
 from repro.telemetry import FleetConfig, VendorMix, simulate_fleet
 
 pytestmark = pytest.mark.parallel_bench
 
 #: Requested worker counts; each clamps to ``os.cpu_count()``.
 N_JOBS_GRID = (2, 4)
+#: Paired timing rounds per benchmark (after one warm-up call each).
+ROUNDS = 3
+#: Shards in the monitored store: enough groups for the pool to matter.
+N_SHARDS = 8
 #: Assert real speedup only when the host can run 4 workers.
 ENOUGH_CORES = (os.cpu_count() or 1) >= 4
-
-
-def _timed(fn):
-    started = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - started
 
 
 def _training_data(n_samples=6000, n_features=16, seed=0):
@@ -69,7 +70,7 @@ def _training_data(n_samples=6000, n_features=16, seed=0):
     return X, y
 
 
-def _bench_forest_fit():
+def _bench_forest_fit(workdir):
     X, y = _training_data()
 
     def run(n_jobs):
@@ -81,7 +82,7 @@ def _bench_forest_fit():
     return run, lambda a, b: np.testing.assert_array_equal(a, b)
 
 
-def _bench_grid_search():
+def _bench_grid_search(workdir):
     X, y = _training_data(n_samples=4000)
     grid = {"max_depth": [4, 8, 12], "min_samples_leaf": [1, 4]}
 
@@ -101,7 +102,9 @@ def _bench_grid_search():
     return run, check
 
 
-def _bench_fleet_scoring():
+def _bench_sharded_monitor(workdir):
+    """Shard fan-out alone: one model fitted up front, no retrains, so
+    every second timed is shard load, prepare and scoring."""
     fleet = simulate_fleet(
         FleetConfig(
             mix=VendorMix({"I": 400}),
@@ -110,11 +113,15 @@ def _bench_fleet_scoring():
             seed=11,
         )
     )
+    store = write_dataset_sharded(fleet, os.path.join(workdir, "store"), N_SHARDS)
+    model = MFPA().fit(fleet, train_end_day=360)
+    never = RetrainPolicy(interval_days=10**9, min_new_failures=10**9)
 
     def run(n_jobs):
-        monitor = FleetMonitor(n_jobs=n_jobs)
-        monitor.start(fleet, train_end_day=360)
-        return [monitor.score_window(day, day + 30) for day in range(360, 540, 30)]
+        monitor = ShardedFleetMonitor(store, policy=never, n_jobs=n_jobs)
+        monitor.use_model(model, 360)
+        summary = monitor.run(360, 540, window_days=30)
+        return summary.alarm_records(), [w.n_drives_scored for w in summary.windows]
 
     def check(a, b):
         assert a == b
@@ -126,37 +133,47 @@ def test_parallel_speedup():
     benches = {
         "forest_fit": _bench_forest_fit,
         "grid_search": _bench_grid_search,
-        "fleet_scoring": _bench_fleet_scoring,
+        "sharded_monitor": _bench_sharded_monitor,
     }
-    shutdown_pool()  # cold-start baseline: first dispatch pays the fork
     records = []
-    for name, build in benches.items():
-        run, check = build()
-        serial_result, serial_seconds = _timed(lambda: run(1))
-        runs = []
-        for n_jobs in N_JOBS_GRID:
-            parallel_result, parallel_seconds = _timed(lambda: run(n_jobs))
-            check(serial_result, parallel_result)
-            runs.append(
+    with tempfile.TemporaryDirectory(prefix="bench-parallel-") as workdir:
+        for name, build in benches.items():
+            run, check = build(workdir)
+            configs = {"serial": lambda: run(1)}
+            for n_jobs in N_JOBS_GRID:
+                configs[f"n_jobs={n_jobs}"] = lambda n_jobs=n_jobs: run(n_jobs)
+            timings = paired_timings(configs, rounds=ROUNDS)
+            serial = timings.pop("serial")
+            runs = []
+            for n_jobs, timing in zip(N_JOBS_GRID, timings.values()):
+                check(serial["result"], timing["result"])
+                runs.append(
+                    {
+                        "requested_n_jobs": n_jobs,
+                        "effective_n_jobs": effective_n_jobs(n_jobs),
+                        "seconds": round(timing["median"], 4),
+                        "iqr_seconds": [round(timing["q1"], 4), round(timing["q3"], 4)],
+                        "speedup": round(serial["median"] / timing["median"], 3),
+                        "never_slower": never_slower(
+                            serial["median"], timing["median"]
+                        ),
+                    }
+                )
+            records.append(
                 {
-                    "requested_n_jobs": n_jobs,
-                    "effective_n_jobs": effective_n_jobs(n_jobs),
-                    "seconds": round(parallel_seconds, 4),
-                    "speedup": round(serial_seconds / parallel_seconds, 3),
-                    "never_slower": never_slower(serial_seconds, parallel_seconds),
+                    "name": name,
+                    "serial_seconds": round(serial["median"], 4),
+                    "serial_iqr_seconds": [
+                        round(serial["q1"], 4), round(serial["q3"], 4)
+                    ],
+                    "runs": runs,
                 }
             )
-        records.append(
-            {
-                "name": name,
-                "serial_seconds": round(serial_seconds, 4),
-                "runs": runs,
-            }
-        )
 
     payload = {
         "cpu_count": os.cpu_count(),
         "fork_available": fork_available(),
+        "protocol": {"warmup": 1, "paired_rounds": ROUNDS, "statistic": "median"},
         "gate": {
             "ratio": NEVER_SLOWER_RATIO,
             "slack_seconds": NEVER_SLOWER_SLACK_SECONDS,
@@ -183,7 +200,10 @@ def test_parallel_speedup():
                 for bench in records
                 for r in bench["runs"]
             ],
-            title=f"Parallel speedup ({cores_label(os.cpu_count())})",
+            title=(
+                f"Parallel speedup ({cores_label(os.cpu_count())}; "
+                f"median of {ROUNDS} paired rounds)"
+            ),
         ),
     )
 
@@ -209,7 +229,7 @@ def test_parallel_speedup():
         assert max(training) >= 2.0, (
             f"expected ≥2x on forest fit or grid search at n_jobs=4, got {training}"
         )
-        assert at_four["fleet_scoring"] >= 1.0, (
-            f"expected fleet scoring to at least break even at n_jobs=4, "
-            f"got {at_four['fleet_scoring']}"
+        assert at_four["sharded_monitor"] >= 1.0, (
+            f"expected the sharded monitor to at least break even at n_jobs=4, "
+            f"got {at_four['sharded_monitor']}"
         )

@@ -120,8 +120,9 @@ def _add_n_jobs_flag(parser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for training/search/scoring (1 = serial, "
-        "-1 = all cores); results are identical at every setting",
+        help="worker processes for training, search and shard-store "
+        "monitoring (1 = serial, -1 = all cores); results are identical "
+        "at every setting",
     )
 
 
@@ -446,7 +447,6 @@ def _add_chaos(subparsers) -> None:
         help="feed the corrupted dataset to the pipeline without quarantine "
         "ingestion (most faults will then crash it — that is the point)",
     )
-    _add_n_jobs_flag(parser)
     _add_split_algorithm_flag(parser)
     _add_obs_flags(parser)
 
@@ -736,6 +736,11 @@ def _run_monitor(args: argparse.Namespace, is_shard_store) -> int:
             resume=args.resume,
         )
     else:
+        if args.n_jobs != 1:
+            raise SystemExit(
+                "--n-jobs applies to shard stores; the in-RAM monitor "
+                "scores in-process"
+            )
         dataset = _load(args)
         summary = simulate_operation(
             dataset,
@@ -747,7 +752,6 @@ def _run_monitor(args: argparse.Namespace, is_shard_store) -> int:
             allow_degraded=args.allow_degraded,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
-            n_jobs=args.n_jobs,
             initial_model=initial_model,
         )
     record_result("n_alarms", summary.n_alarms)
@@ -783,7 +787,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     clean = _load(args)
     fault_names = args.fault or sorted(FAULT_REGISTRY)
-    annotate_run(seed=args.seed, n_jobs=args.n_jobs, faults=fault_names)
+    annotate_run(seed=args.seed, faults=fault_names)
 
     def run(dataset):
         summary = simulate_operation(
@@ -793,7 +797,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             end_day=args.end_day,
             window_days=args.window_days,
             alarm_threshold=args.alarm_threshold,
-            n_jobs=args.n_jobs,
         )
         fpr_denominator = sum(1 for m in dataset.drives.values() if not m.failed)
         fpr = summary.false_alarms / fpr_denominator if fpr_denominator else float("nan")

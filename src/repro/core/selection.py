@@ -10,7 +10,7 @@ Each selection round evaluates every remaining candidate column
 independently — an embarrassingly parallel inner loop that fans out over
 :class:`repro.parallel.ParallelExecutor` when ``n_jobs > 1``. The CV
 folds are computed once up front and shared with the workers alongside
-the feature matrix, so a round costs one fork instead of
+the feature matrix, so the whole selection costs one fork instead of
 O(candidates × folds) dataset pickles.
 """
 
@@ -144,7 +144,8 @@ class SequentialForwardSelector:
             fold_binned = None
 
         limit = self.max_features or n_features
-        with share((X, y, folds, fold_binned)) as data:
+        # One pool for every round, forked after the data is shared.
+        with share((X, y, folds, fold_binned)) as data, executor:
             while remaining and len(selected) < limit:
                 inc_counter("mfpa_selection_rounds_total")
                 inc_counter("mfpa_selection_candidate_fits_total", len(remaining))

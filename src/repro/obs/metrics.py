@@ -184,20 +184,8 @@ CATALOG: tuple[tuple[str, str, str, tuple | None, bool], ...] = (
      "tasks submitted to ParallelExecutor.starmap", None, True),
     ("parallel_pool_forks_total", "counter",
      "worker pools forked by ParallelExecutor", None, True),
-    ("parallel_pool_reuses_total", "counter",
-     "starmap dispatches served by an already-live persistent pool",
-     None, True),
-    ("parallel_pool_restarts_total", "counter",
-     "persistent pool re-forks (stale payload generation, dead workers, "
-     "or a larger worker request)", None, True),
-    ("parallel_serial_fallbacks_total", "counter",
-     "parallel-capable starmap calls the calibrated cost model ran "
-     "serially", None, True),
     ("parallel_pool_workers", "gauge",
-     "worker processes in the live persistent pool (0 = no pool)",
-     None, True),
-    ("parallel_pool_age_seconds", "gauge",
-     "age of the live persistent pool since its last fork", None, True),
+     "workers in the open pool (0 = no pool)", None, True),
     ("window_score_seconds", "histogram",
      "wall-clock per FleetMonitor.score_window call", SECONDS_BUCKETS, True),
     ("cv_fold_fit_seconds", "histogram",

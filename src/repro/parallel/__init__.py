@@ -1,10 +1,9 @@
-"""Parallel execution layer: a persistent process pool with deterministic fallback.
+"""Parallel execution layer: a lexically scoped fork pool.
 
-See :mod:`repro.parallel.executor` for the design (dispatch + calibrated
-serial fallback), :mod:`repro.parallel.pool` for the persistent pool
-lifecycle, and :mod:`repro.parallel.shared` for the generation-tagged
-copy-on-write payload registry. ``docs/performance.md`` documents the
-seeding discipline that keeps every ``n_jobs`` setting bit-identical.
+:mod:`repro.parallel.executor` holds the ordered ``starmap`` on a pool
+that lives for one call or one ``with`` block; :mod:`repro.parallel.
+shared` holds the copy-on-write payload registry. ``docs/performance.md``
+documents the seeding that keeps every ``n_jobs`` bit-identical.
 """
 
 from repro.parallel.executor import (
@@ -14,15 +13,9 @@ from repro.parallel.executor import (
     effective_n_jobs,
     fork_available,
     share,
-    shutdown_pool,
 )
 
 __all__ = [
-    "ParallelExecutor",
-    "SharedPayload",
-    "StalePayloadError",
-    "effective_n_jobs",
-    "fork_available",
-    "share",
-    "shutdown_pool",
+    "ParallelExecutor", "SharedPayload", "StalePayloadError",
+    "effective_n_jobs", "fork_available", "share",
 ]

@@ -27,8 +27,9 @@ carries only the failed drives' metas plus the alarmed drives' metas
 :func:`~repro.core.deployment.summarize_windows`.
 
 Scoring can fan shards out over :class:`~repro.parallel.
-ParallelExecutor` workers (``n_jobs``); serial partitions are disjoint
-so per-worker alarm sets never interact, and results merge in shard
+ParallelExecutor` workers (``n_jobs``), one pool held for the whole
+run across checkpoint groups; serial partitions are disjoint so
+per-worker alarm sets never interact, and results merge in shard
 order — deterministic at every ``n_jobs``.
 """
 
@@ -86,21 +87,19 @@ class GradingView:
 
 
 def _score_shard(
-    shard_index: int,
-    store: ShardedDataset,
-    models: list[MFPA],
-    boundaries: list[tuple[int, int]],
-    alarm_threshold: float,
-    sanitize: bool,
+    context: SharedPayload, shard_index: int
 ) -> tuple[list[tuple[list, int]], dict[int, DriveMeta]]:
     """Score every window of one shard; the unit of parallel fan-out.
 
-    Returns per-window ``(alarms, n_drives_scored)`` plus the shard's
-    grading metas. ``models[w]`` is the (pre-trained) model in force
-    for window ``w``; the per-shard alarmed set carries first-alarm
-    deduplication across windows exactly like the in-RAM monitor's
-    fleet-wide set restricted to this shard's serials.
+    ``context`` shares ``(store, models, boundaries, alarm_threshold,
+    sanitize)`` with the workers. Returns per-window ``(alarms,
+    n_drives_scored)`` plus the shard's grading metas. ``models[w]`` is
+    the (pre-trained) model in force for window ``w``; the per-shard
+    alarmed set carries first-alarm deduplication across windows
+    exactly like the in-RAM monitor's fleet-wide set restricted to this
+    shard's serials.
     """
+    store, models, boundaries, alarm_threshold, sanitize = context.get()
     raw = store.load_shard(shard_index)
     grading = {
         serial: meta
@@ -130,16 +129,6 @@ def _score_shard(
         if serial not in grading:
             grading[serial] = raw.drives[serial]
     return results, grading
-
-
-def _score_shard_task(
-    context: SharedPayload, shard_index: int
-) -> tuple[list[tuple[list, int]], dict[int, DriveMeta]]:
-    """Worker entry: unpack the fork-shared context and score a shard."""
-    store, models, boundaries, threshold, sanitize = context.get()
-    return _score_shard(
-        shard_index, store, models, boundaries, threshold, sanitize
-    )
 
 
 class ShardedFleetMonitor:
@@ -376,42 +365,31 @@ class ShardedFleetMonitor:
             if max_shards is not None:
                 stop_at = min(stop_at, max_shards)
             executor = ParallelExecutor(self.n_jobs)
-            if executor.is_parallel and self.store.n_shards > 1:
-                # Checkpointing bounds the group a crash can lose;
-                # without it one starmap covers every remaining shard.
-                group = (
-                    max(executor.n_jobs, 1)
-                    if directory is not None
-                    else stop_at
-                )
-                context = (
-                    self.store, models, boundaries,
-                    self.alarm_threshold, self.sanitize,
-                )
-                with share(context) as shared:
-                    while len(per_shard) < stop_at:
-                        batch = range(
-                            len(per_shard),
-                            min(len(per_shard) + group, stop_at),
-                        )
-                        outcomes = executor.starmap(
-                            _score_shard_task,
-                            [(shared, i) for i in batch],
-                        )
-                        for results, metas in outcomes:
-                            per_shard.append(results)
-                            grading.update(metas)
-                        if directory is not None:
-                            self._save_progress(directory, per_shard, grading)
-                self.ceiling.check("scale.monitor.score")
+            # One pool for the whole run. Each group ends with a memory
+            # check and, when checkpointing, a commit: a serial run does
+            # both after every shard, a parallel one after every
+            # n_jobs-sized group, or once when it has nothing to commit.
+            if not executor.is_parallel:
+                group = 1
+            elif directory is not None:
+                group = executor.n_jobs
             else:
+                group = stop_at
+            context = (
+                self.store, models, boundaries,
+                self.alarm_threshold, self.sanitize,
+            )
+            with share(context) as shared, executor:
                 while len(per_shard) < stop_at:
-                    results, metas = _score_shard(
-                        len(per_shard), self.store, models, boundaries,
-                        self.alarm_threshold, self.sanitize,
+                    batch = range(
+                        len(per_shard), min(len(per_shard) + group, stop_at)
                     )
-                    per_shard.append(results)
-                    grading.update(metas)
+                    outcomes = executor.starmap(
+                        _score_shard, [(shared, i) for i in batch]
+                    )
+                    for results, metas in outcomes:
+                        per_shard.append(results)
+                        grading.update(metas)
                     if directory is not None:
                         self._save_progress(directory, per_shard, grading)
                     self.ceiling.check("scale.monitor.score")

@@ -2,6 +2,7 @@
 workers must aggregate to the same totals-per-name as a serial run, and
 observability must never perturb model outputs."""
 
+import os
 import time
 
 import numpy as np
@@ -15,8 +16,7 @@ from repro.obs import (
     get_tracer,
     trace_span,
 )
-from repro.parallel import ParallelExecutor, fork_available, shutdown_pool
-from repro.parallel.calibration import set_serial_fallback_mode
+from repro.parallel import ParallelExecutor, fork_available
 
 pytestmark = pytest.mark.smoke
 
@@ -27,14 +27,9 @@ needs_fork = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def force_pool_paths(monkeypatch):
-    """Exercise real fork workers even on single-core CI boxes: disable
-    the cpu_count clamp and the calibrated serial fallback, and tear the
-    persistent pool down so per-test fork counters start from zero."""
-    monkeypatch.setenv("REPRO_PARALLEL_OVERSUBSCRIBE", "1")
-    set_serial_fallback_mode("never")
-    yield
-    set_serial_fallback_mode("auto")
-    shutdown_pool()
+    """Exercise real fork workers even on single-core CI boxes: pin a
+    4-core host so ``n_jobs`` up to 4 is not clamped away."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
 
 def _traced_task(x):
@@ -90,13 +85,16 @@ class TestWorkerAggregation:
         ParallelExecutor(1).starmap(_traced_task, [(1,), (2,)])
         assert get_registry().counter("parallel_pool_forks_total").value == 0
         get_registry().reset()
-        shutdown_pool()  # the persistent pool may be live from _run_traced
+        # One fork per pool scope: a bare starmap is its own scope...
         ParallelExecutor(3).starmap(_traced_task, [(1,), (2,)])
         assert get_registry().counter("parallel_pool_forks_total").value == 1
-        # A second dispatch reuses the live pool instead of re-forking.
         ParallelExecutor(3).starmap(_traced_task, [(3,), (4,)])
-        assert get_registry().counter("parallel_pool_forks_total").value == 1
-        assert get_registry().counter("parallel_pool_reuses_total").value == 1
+        assert get_registry().counter("parallel_pool_forks_total").value == 2
+        # ...and a with block holds one pool across its dispatches.
+        with ParallelExecutor(3) as executor:
+            executor.starmap(_traced_task, [(5,), (6,)])
+            executor.starmap(_traced_task, [(7,), (8,)])
+        assert get_registry().counter("parallel_pool_forks_total").value == 3
 
     def test_no_capture_no_span_shipping(self):
         # With observability off, results flow through the plain task

@@ -1,23 +1,16 @@
 """Force real pool coverage regardless of host core count.
 
 CI boxes are often single-core, where the cpu_count clamp would
-silently serialize every ``n_jobs > 1`` test and the calibrated cost
-model would (correctly) refuse to dispatch tiny test workloads. These
-tests exist to exercise the fork/pool machinery itself, so both guards
-are disabled around each test and the persistent pool is torn down
-afterwards to keep pool-lifecycle assertions independent.
+silently serialize every ``n_jobs > 1`` test. These tests exist to
+exercise the fork/pool machinery itself, so each one sees a 4-core
+host (``n_jobs`` up to 4 forks that many workers).
 """
 
-import pytest
+import os
 
-from repro.parallel import shutdown_pool
-from repro.parallel.calibration import set_serial_fallback_mode
+import pytest
 
 
 @pytest.fixture(autouse=True)
 def force_pool_paths(monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL_OVERSUBSCRIBE", "1")
-    set_serial_fallback_mode("never")
-    yield
-    set_serial_fallback_mode("auto")
-    shutdown_pool()
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)

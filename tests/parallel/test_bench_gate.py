@@ -1,42 +1,28 @@
 """Tiny-size never-slower gate for ``make smoke``.
 
-A miniature of ``make bench-parallel``'s gate: with the cpu_count clamp
-and the calibrated serial fallback active (production configuration —
-the suite-wide test pins are undone here), ``n_jobs=4`` must not lose
-to the serial loop even on workloads far too small to parallelize.
-This is exactly the regime where the pre-pool executor posted negative
-speedups: on a small host it forked a pool per call, and on any host
-it paid dispatch overhead for sub-millisecond tasks. The slack is
-wider than the full benchmark's because these runs are sub-second.
+A miniature of ``make bench-parallel``'s gate: with the real cpu_count
+clamp (the suite-wide 4-core pin is undone here), ``n_jobs=4`` must not
+lose to the serial loop even on a forest far too small to parallelize.
+Each call forks and tears down its own pool, so this bounds what that
+costs. The slack is wider than the full benchmark's because these runs
+are sub-second; both sides are timed with the benchmark suite's paired
+protocol (warm-up, interleaved rounds, median).
 """
 
 from __future__ import annotations
 
-import time
+import os
 
 import numpy as np
 import pytest
 
-from benchmarks._util import never_slower
-from repro.core.deployment import FleetMonitor
+from benchmarks._util import never_slower, paired_timings
 from repro.ml.forest import RandomForestClassifier
-from repro.parallel import shutdown_pool
-from repro.parallel.calibration import get_cost_model, set_serial_fallback_mode
 
 pytestmark = pytest.mark.smoke
 
-
-def _timed(fn, repeats=2):
-    """Best-of-``repeats`` timing: on a loaded single-core host a lone
-    run can swing by hundreds of milliseconds of scheduler noise, which
-    is wider than this gate's whole margin; the minimum of two runs is
-    what the code path actually costs."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - started)
-    return result, best
+#: The host's own core count, captured before any fixture pins it.
+_HOST_CPU_COUNT = os.cpu_count
 
 #: Sub-second workloads need more absolute slack than the full bench.
 TINY_SLACK_SECONDS = 0.25
@@ -44,14 +30,8 @@ TINY_SLACK_SECONDS = 0.25
 
 @pytest.fixture()
 def production_parallel_config(monkeypatch):
-    """Undo the suite-wide pins: real clamp, calibrated fallback."""
-    monkeypatch.delenv("REPRO_PARALLEL_OVERSUBSCRIBE", raising=False)
-    set_serial_fallback_mode("auto")
-    get_cost_model().reset()
-    shutdown_pool()
-    yield
-    shutdown_pool()
-    get_cost_model().reset()
+    """Undo the suite-wide 4-core pin: the real clamp applies."""
+    monkeypatch.setattr(os, "cpu_count", _HOST_CPU_COUNT)
 
 
 def test_tiny_forest_fit_never_slower(
@@ -65,25 +45,14 @@ def test_tiny_forest_fit_never_slower(
         ).fit(X, y)
         return model.predict_proba(X)
 
-    serial, serial_seconds = _timed(lambda: fit(1))
-    parallel, parallel_seconds = _timed(lambda: fit(4))
-    np.testing.assert_array_equal(serial, parallel)
+    timings = paired_timings(
+        {"serial": lambda: fit(1), "parallel": lambda: fit(4)}, rounds=3
+    )
+    serial, parallel = timings["serial"], timings["parallel"]
+    np.testing.assert_array_equal(serial["result"], parallel["result"])
     assert never_slower(
-        serial_seconds, parallel_seconds, slack_seconds=TINY_SLACK_SECONDS
-    ), f"tiny forest fit: serial {serial_seconds:.3f}s, n_jobs=4 {parallel_seconds:.3f}s"
-
-
-def test_tiny_fleet_scoring_never_slower(
-    production_parallel_config, small_fleet
-):
-    def score(n_jobs):
-        monitor = FleetMonitor(n_jobs=n_jobs)
-        monitor.start(small_fleet, train_end_day=240)
-        return [monitor.score_window(day, day + 40) for day in range(240, 360, 40)]
-
-    serial, serial_seconds = _timed(lambda: score(1))
-    parallel, parallel_seconds = _timed(lambda: score(4))
-    assert serial == parallel
-    assert never_slower(
-        serial_seconds, parallel_seconds, slack_seconds=TINY_SLACK_SECONDS
-    ), f"tiny fleet scoring: serial {serial_seconds:.3f}s, n_jobs=4 {parallel_seconds:.3f}s"
+        serial["median"], parallel["median"], slack_seconds=TINY_SLACK_SECONDS
+    ), (
+        f"tiny forest fit: serial {serial['median']:.3f}s, "
+        f"n_jobs=4 {parallel['median']:.3f}s"
+    )

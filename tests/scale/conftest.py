@@ -22,6 +22,24 @@ def cheap_config(**overrides) -> MFPAConfig:
     )
 
 
+def assert_summaries_equal(got, want) -> None:
+    """Sharded-vs-reference parity: alarms, every graded field and the
+    per-window shape (counts and retrain flags)."""
+    assert got.alarm_records() == want.alarm_records()
+    for field in (
+        "n_alarms", "true_alarms", "false_alarms", "missed_failures",
+        "lead_times", "unknown_serial_alarms", "precision", "recall",
+    ):
+        assert getattr(got, field) == getattr(want, field), field
+    assert [
+        (w.start_day, w.end_day, w.n_drives_scored, w.retrained)
+        for w in got.windows
+    ] == [
+        (w.start_day, w.end_day, w.n_drives_scored, w.retrained)
+        for w in want.windows
+    ]
+
+
 @pytest.fixture(scope="session")
 def shard_store(small_fleet, tmp_path_factory):
     """The small fleet written as a 3-shard store (read-only)."""

@@ -12,19 +12,18 @@ fresh monitor instance as a crashed process would.
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
 
 from repro.core.deployment import RetrainPolicy
 from repro.obs import get_registry
-from repro.parallel import shutdown_pool
-from repro.parallel.calibration import set_serial_fallback_mode
 from repro.robustness.checkpoint import CheckpointCorruptError, commit_checkpoint
 from repro.scale import ShardedFleetMonitor
 from repro.scale.monitor import SHARD_MONITOR_FILES
 
-from tests.scale.conftest import cheap_config
+from tests.scale.conftest import assert_summaries_equal, cheap_config
 
 START, END, WINDOW = 240, 360, 40
 POLICY = RetrainPolicy(interval_days=60, min_new_failures=1)
@@ -42,22 +41,6 @@ def _monitor(shard_store, n_jobs: int = 1) -> ShardedFleetMonitor:
 
 def _counter(name: str) -> float:
     return get_registry().counter(name).value
-
-
-def assert_summaries_equal(got, want) -> None:
-    assert got.alarm_records() == want.alarm_records()
-    for field in (
-        "n_alarms", "true_alarms", "false_alarms", "missed_failures",
-        "lead_times", "unknown_serial_alarms", "precision", "recall",
-    ):
-        assert getattr(got, field) == getattr(want, field), field
-    assert [
-        (w.start_day, w.end_day, w.n_drives_scored, w.retrained)
-        for w in got.windows
-    ] == [
-        (w.start_day, w.end_day, w.n_drives_scored, w.retrained)
-        for w in want.windows
-    ]
 
 
 @pytest.fixture(scope="module")
@@ -105,23 +88,18 @@ def test_crash_after_one_shard_resumes_bit_identical(
 def test_parallel_resume_checkpoints_at_group_boundaries(
     shard_store, baseline, tmp_path, monkeypatch
 ):
-    monkeypatch.setenv("REPRO_PARALLEL_OVERSUBSCRIBE", "1")
-    set_serial_fallback_mode("never")
-    try:
-        checkpoint = tmp_path / "ckpt"
-        _monitor(shard_store, n_jobs=2).run(
-            START, END, window_days=WINDOW,
-            checkpoint_dir=checkpoint, max_shards=2,
-        )
-        with open(checkpoint / "progress.pkl", "rb") as handle:
-            assert len(pickle.load(handle)["per_shard"]) == 2
-        summary = _monitor(shard_store, n_jobs=2).run(
-            START, END, window_days=WINDOW,
-            checkpoint_dir=checkpoint, resume=True,
-        )
-    finally:
-        set_serial_fallback_mode("auto")
-        shutdown_pool()
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    checkpoint = tmp_path / "ckpt"
+    _monitor(shard_store, n_jobs=2).run(
+        START, END, window_days=WINDOW,
+        checkpoint_dir=checkpoint, max_shards=2,
+    )
+    with open(checkpoint / "progress.pkl", "rb") as handle:
+        assert len(pickle.load(handle)["per_shard"]) == 2
+    summary = _monitor(shard_store, n_jobs=2).run(
+        START, END, window_days=WINDOW,
+        checkpoint_dir=checkpoint, resume=True,
+    )
     assert_summaries_equal(summary, baseline)
 
 

@@ -44,9 +44,12 @@ class TestParser:
 
     def test_n_jobs_flag_on_parallel_subcommands(self):
         assert build_parser().parse_args(["train", "d"]).n_jobs == 1
-        for command in ("train", "monitor", "chaos"):
+        for command in ("train", "monitor"):
             args = build_parser().parse_args([command, "d", "--n-jobs", "4"])
             assert args.n_jobs == 4
+        # chaos only runs the in-RAM monitor, which scores in-process.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["chaos", "d", "--n-jobs", "4"])
 
     def test_split_algorithm_flag_on_training_subcommands(self):
         assert build_parser().parse_args(["train", "d"]).split_algorithm == "exact"
@@ -166,6 +169,11 @@ class TestMonitor:
         second = capsys.readouterr().out
         # resume finds all windows already scored and reports the same run
         assert second == first
+
+    def test_n_jobs_rejected_on_in_ram_dataset(self, saved_fleet):
+        with pytest.raises(SystemExit, match="--n-jobs applies to shard stores"):
+            main(["monitor", str(saved_fleet), "--start-day", "120",
+                  "--end-day", "200", "--n-jobs", "2"])
 
 
 class TestValidationFlags:

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Lint: no stray ``print()``; no silent excepts in serve/; no
 ``http.server`` outside ``src/repro/obs/``; no raw file writes, renames
-or fsyncs outside ``repro.commit``; no ``repro.parallel`` in serve/.
+or fsyncs outside ``repro.commit``; ``repro.parallel`` only where it
+pays; ``multiprocessing`` only inside ``src/repro/parallel/``.
 
-Five AST checks over ``src/repro`` (``make lint-obs``):
+Six AST checks over ``src/repro`` (``make lint-obs``):
 
 * library output must flow through ``repro.obs.get_logger`` so it
   carries a level and respects ``--log-level`` / ``--log-json`` — any
@@ -30,9 +31,13 @@ Five AST checks over ``src/repro`` (``make lint-obs``):
   exceptions are the two deliberately streaming JSONL writers a
   consumer may tail while they grow: ``serve/replay.write_stream`` and
   the paced ``repro replay --speed`` loop (``cli._cmd_replay``);
-* the serve daemon scores in one process: per-window batches are far
-  too small to pay for a worker pool, so no module under
-  ``src/repro/serve/`` may import ``repro.parallel``.
+* a worker pool pays only for coarse jobs — forest tree fits, grid
+  search / CV, forward selection and the sharded monitor's shards — so
+  ``repro.parallel`` may be imported only by the four modules that run
+  them (``PARALLEL_USERS``); everything else, serve and the in-RAM
+  monitor included, scores in-process;
+* process management is ``repro.parallel``'s single responsibility, so
+  ``multiprocessing`` may be imported only under ``src/repro/parallel/``.
 
 AST-based on purpose: docstrings contain ``print()`` usage examples and
 prose about ``except`` clauses that a grep would false-positive on.
@@ -70,9 +75,18 @@ STREAMING_WRITERS = {
     Path("cli.py"): frozenset({"_cmd_replay"}),
 }
 
-#: Directory (relative to src/repro) that must not import
-#: ``repro.parallel``.
-SERIAL_DIR = Path("serve")
+#: The only modules (relative to src/repro) outside the package itself
+#: allowed to import ``repro.parallel``: the fan-outs that pay.
+PARALLEL_USERS = frozenset({
+    Path("ml/forest.py"),
+    Path("ml/model_selection.py"),
+    Path("core/selection.py"),
+    Path("scale/monitor.py"),
+})
+
+#: The package that owns worker processes; the only place allowed to
+#: import ``multiprocessing``.
+PARALLEL_DIR = Path("parallel")
 
 
 def find_prints(tree: ast.AST) -> list[tuple[int, str]]:
@@ -121,38 +135,12 @@ def find_silent_excepts(tree: ast.AST) -> list[tuple[int, str]]:
     return offenders
 
 
-def find_http_server_imports(tree: ast.AST) -> list[tuple[int, str]]:
-    """``http.server`` reached any way: ``import http.server``,
-    ``from http.server import ...``, or ``from http import server``."""
+def find_imports(
+    tree: ast.AST, package: str, message: str
+) -> list[tuple[int, str]]:
+    """``package`` reached any way: ``import package[.x]``, ``from
+    package[.x] import ...``, or ``from <parent> import <leaf>``."""
     offenders: list[tuple[int, str]] = []
-    message = (
-        "http.server import outside src/repro/obs/ — the live endpoint "
-        "lives in repro.obs.server; talk to it instead"
-    )
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            if any(
-                alias.name == "http.server" or alias.name.startswith("http.server.")
-                for alias in node.names
-            ):
-                offenders.append((node.lineno, message))
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module == "http.server" or module.startswith("http.server."):
-                offenders.append((node.lineno, message))
-            elif module == "http" and any(
-                alias.name == "server" for alias in node.names
-            ):
-                offenders.append((node.lineno, message))
-    return offenders
-
-
-def find_parallel_imports(tree: ast.AST) -> list[tuple[int, str]]:
-    """``repro.parallel`` reached any way: ``import repro.parallel``,
-    ``from repro.parallel[.x] import ...``, or ``from repro import
-    parallel``."""
-    offenders: list[tuple[int, str]] = []
-    message = "repro.parallel import in src/repro/serve/ — serve scores serially"
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -161,10 +149,7 @@ def find_parallel_imports(tree: ast.AST) -> list[tuple[int, str]]:
             names = [module] + [f"{module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(
-            name == "repro.parallel" or name.startswith("repro.parallel.")
-            for name in names
-        ):
+        if any(name == package or name.startswith(f"{package}.") for name in names):
             offenders.append((node.lineno, message))
     return offenders
 
@@ -253,13 +238,28 @@ def main() -> int:
         if any(strict in relative.parents for strict in STRICT_EXCEPT_DIRS):
             findings.extend(find_silent_excepts(tree))
         if HTTP_SERVER_DIR not in relative.parents:
-            findings.extend(find_http_server_imports(tree))
+            findings.extend(find_imports(
+                tree, "http.server",
+                "http.server import outside src/repro/obs/ — the live "
+                "endpoint lives in repro.obs.server; talk to it instead",
+            ))
         if relative != COMMIT_MODULE:
             findings.extend(
                 _outside(find_raw_writes(tree), tree, STREAMING_WRITERS.get(relative))
             )
-        if SERIAL_DIR in relative.parents:
-            findings.extend(find_parallel_imports(tree))
+        if PARALLEL_DIR not in relative.parents:
+            findings.extend(find_imports(
+                tree, "multiprocessing",
+                "multiprocessing import outside src/repro/parallel/ — "
+                "use repro.parallel.ParallelExecutor",
+            ))
+            if relative not in PARALLEL_USERS:
+                findings.extend(find_imports(
+                    tree, "repro.parallel",
+                    "repro.parallel import outside its allowlist — only "
+                    "forest fit, CV/grid search, forward selection and the "
+                    "sharded monitor fan out; score in-process",
+                ))
         for lineno, message in sorted(findings):
             offenders.append(f"src/repro/{relative}:{lineno}: {message}")
     if offenders:
@@ -272,7 +272,9 @@ def main() -> int:
         "no http.server imports outside src/repro/obs; "
         "no raw file writes, os.replace or os.fsync outside src/repro/commit.py "
         "(bar the two streaming JSONL writers); "
-        "no repro.parallel imports in src/repro/serve"
+        "repro.parallel imported only by ml/forest.py, ml/model_selection.py, "
+        "core/selection.py and scale/monitor.py; "
+        "multiprocessing imported only under src/repro/parallel"
     )
     return 0
 
